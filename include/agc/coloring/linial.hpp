@@ -76,6 +76,17 @@ class LinialSchedule {
                                     std::span<const std::uint64_t> same_interval_xs,
                                     std::span<const Color> forbidden_next);
 
+/// Evaluate the digit polynomial of `value` (base-q digits, degree <= d) at
+/// point e over GF(q), using O(1) words of memory — the streaming evaluation
+/// sketched at the end of Section 3: a vertex re-reads each neighbor's color
+/// per candidate point instead of materializing its polynomial.
+[[nodiscard]] std::uint64_t eval_digit_poly(std::uint64_t q, std::uint64_t value,
+                                            std::uint32_t d,
+                                            std::uint64_t e) noexcept;
+
+/// The plain Mod-Linial rule.  step() equals mod_linial_step with an empty
+/// forbidden set, computed with eval_digit_poly in O(1) working memory and
+/// without allocating.
 class LinialRule final : public runtime::IterativeRule {
  public:
   explicit LinialRule(LinialSchedule schedule) : sched_(std::move(schedule)) {}

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "agc/graph/view.hpp"
@@ -335,9 +336,11 @@ class OutboxRef {
       : arena_(&arena), base_(base), ports_(ports), shard_(shard),
         parity_(parity) {}
 
-  /// Append one word to the message for the neighbor at `port`.
+  /// Append one word to the message for the neighbor at `port`.  Throws
+  /// std::out_of_range for a port past the vertex's degree: the arena is
+  /// shared, so the write would land in another vertex's slot.
   void send(std::size_t port, Word w) {
-    assert(port < ports_);
+    if (port >= ports_) throw std::out_of_range("OutboxRef::send: port out of range");
     arena_->push(base_ + static_cast<std::uint32_t>(port), shard_, w, parity_);
     broadcast_only_ = false;
   }

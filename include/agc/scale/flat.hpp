@@ -15,16 +15,21 @@
 /// program objects — the machinery faults, traces and congestion accounting
 /// need.  At n = 10^7 none of that fits the budget, and none of it is needed
 /// for the fault-free BSP case: a locally-iterative rule is a pure function
-/// of (own color, sorted neighbor multiset), so one double-buffered sweep
-/// per round reproduces the engine bit for bit.  The flat runner is exactly
-/// that sweep: frozen CSR topology in, two bit-packed color buffers, one
-/// pass per round, contiguous vertex shards on the exec thread pool.
+/// of (own color, sorted neighbor multiset), so a double-buffered update per
+/// round reproduces the engine bit for bit.  The flat runner is that update
+/// over the frozen CSR with two bit-packed color buffers, contiguous vertex
+/// shards on the exec thread pool, and a frontier: a round steps only
+/// non-final vertices whose closed neighborhood changed in the previous
+/// round (every non-final vertex in a call's first round), since every
+/// other vertex would return its current color.
 ///
-/// Determinism: next[v] depends only on cur[], so any shard partition gives
-/// identical results; shards are word-aligned (multiples of 64 vertices) so
-/// packed writes never share a word.  Color contract, pinned by tests:
-/// color_delta_plus_one_flat() returns the same colors as
-/// coloring::color_delta_plus_one() for every graph and thread count.
+/// Determinism: a round depends only on the previous round's colors and
+/// change bits, so any shard partition gives identical results; shards are
+/// word-aligned (multiples of 64 vertices) so packed and bitmap writes never
+/// share a word.  Color contract, pinned by tests: color_delta_plus_one_flat()
+/// returns the same colors and per-stage rounds as
+/// coloring::color_delta_plus_one() for every graph and thread count, and
+/// run_flat() matches run_locally_iterative() at every round cap.
 
 namespace agc::scale {
 
@@ -42,15 +47,17 @@ struct FlatResult {
   bool converged = false;
   bool proper = false;            ///< final coloring verified proper
   std::size_t palette = 0;        ///< distinct colors in the final coloring
-  /// Peak bytes of packed working state (both buffers) across stages — the
-  /// number BENCH_scale.json reports as state_bytes_per_vertex.
+  /// Peak bytes of working state (both packed buffers and the three frontier
+  /// bitmaps) across stages — the number BENCH_scale.json reports as
+  /// state_bytes_per_vertex.
   std::uint64_t state_bytes = 0;
 };
 
 /// Run one rule to its fixed point, BSP semantics, at most `max_rounds`
-/// rounds.  `palette_bound` is one past the largest color that can occur at
-/// any point of the run (initial colors included); it sizes the packed
-/// buffers.  Returns the final colors plus rounds/convergence.
+/// rounds, stepping only the frontier (docs/SCALE.md).  `palette_bound` is
+/// one past the largest color that can occur at any point of the run
+/// (initial colors included); it sizes the packed buffers.  Returns the
+/// final colors plus rounds/convergence.
 [[nodiscard]] FlatResult run_flat(graph::GraphView g,
                                   std::vector<graph::Color> initial,
                                   const runtime::IterativeRule& rule,

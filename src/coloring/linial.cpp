@@ -143,15 +143,45 @@ Color mod_linial_step(const LinialSchedule& sched, std::size_t j, std::uint64_t 
   throw std::logic_error("mod_linial_step: no admissible evaluation point");
 }
 
+std::uint64_t eval_digit_poly(std::uint64_t q, std::uint64_t value, std::uint32_t d,
+                              std::uint64_t e) noexcept {
+  // Lowest digit first: sum of digit_i * e^i, digit_i = (value / q^i) % q.
+  // Working set: acc, e^i, the remaining digits — O(1) words.  Products of
+  // two residues fit in 64 bits whenever q <= 2^32.
+  const auto mul = [q](std::uint64_t a, std::uint64_t b) {
+    return q <= (std::uint64_t{1} << 32) ? a * b % q : math::mul_mod(a, b, q);
+  };
+  e %= q;
+  std::uint64_t acc = 0;
+  std::uint64_t power = 1;
+  for (std::uint32_t i = 0; i <= d && power != 0; ++i) {  // e = 0: digit_0 only
+    acc = (acc + mul(value % q, power)) % q;
+    value /= q;
+    power = mul(power, e);
+  }
+  return acc;
+}
+
 Color LinialRule::step(Color own, std::span<const Color> neighbors) const {
   const std::size_t j = sched_.interval_of(own);
   if (j == 0) return own;  // final palette reached
-  const std::uint64_t off = sched_.offset(j);
-  std::vector<std::uint64_t> xs;
-  for (Color nc : neighbors) {
-    if (sched_.interval_of(nc) == j) xs.push_back(nc - off);
+  // Same-interval neighbors are those in [lo, hi); they are filtered in place
+  // and their polynomials evaluated on the fly, one point at a time — the
+  // O(1)-memory evaluation of Section 3, and no allocation per call.
+  const std::uint64_t lo = sched_.offset(j);
+  const std::uint64_t hi = j < sched_.stages() ? sched_.offset(j + 1)
+                                               : std::numeric_limits<Color>::max();
+  const LinialStage& st = sched_.stage(sched_.stages() - j);
+  const std::uint64_t x = own - lo;
+  for (std::uint64_t e = 0; e < st.q; ++e) {
+    const std::uint64_t val = eval_digit_poly(st.q, x, st.d, e);
+    const bool clash = std::any_of(neighbors.begin(), neighbors.end(), [&](Color nc) {
+      return nc >= lo && nc < hi && eval_digit_poly(st.q, nc - lo, st.d, e) == val;
+    });
+    if (!clash) return sched_.offset(j - 1) + e * st.q + val;
   }
-  return mod_linial_step(sched_, j, own - off, xs, {});
+  // Sizing guarantees existence: d*Delta collisions < q.
+  throw std::logic_error("LinialRule::step: no admissible evaluation point");
 }
 
 std::uint32_t LinialRule::color_bits() const {

@@ -1,6 +1,7 @@
 #include "agc/scale/flat.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -60,58 +61,115 @@ FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
   }
   const std::size_t shards = std::min(threads, std::max<std::size_t>(n, 1));
 
+  // Both buffers hold the current coloring at the start of every round; a
+  // round writes next[v] only for vertices that change, and the apply phase
+  // copies exactly those entries back.
   const std::uint32_t width =
       PackedColors::width_for(palette_bound == 0 ? 0 : palette_bound - 1);
   PackedColors cur(n, width);
-  PackedColors next(n, width);
   for (std::size_t v = 0; v < n; ++v) cur.set(v, initial[v]);
-  res.state_bytes = cur.memory_bytes() + next.memory_bytes();
+  PackedColors next = cur;
 
+  // The frontier, one bit per vertex: live = not final; changed[r & 1] =
+  // changed color in round r.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> live(words, 0);
+  std::vector<std::uint64_t> changed[2] = {std::vector<std::uint64_t>(words, 0),
+                                           std::vector<std::uint64_t>(words, 0)};
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!rule.is_final(initial[v])) live[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  res.state_bytes = cur.memory_bytes() + next.memory_bytes() +
+                    3 * words * sizeof(std::uint64_t);
+
+  // Shard s owns bitmap words [first_word[s], first_word[s+1]); shard cuts
+  // are multiples of 64 vertices (or n), so the word ranges are disjoint.
   const auto bounds = shard_bounds(g, shards);
+  std::vector<std::size_t> first_word(shards + 1);
+  for (std::size_t s = 0; s <= shards; ++s) first_word[s] = (bounds[s] + 63) / 64;
+
   std::vector<std::vector<std::uint64_t>> scratch(shards);
   for (auto& s : scratch) s.reserve(g.max_degree());
-  // One flag slot per shard; written once per shard per round, read at the
-  // barrier — the pool's run() is the synchronization point.
-  std::vector<std::uint8_t> shard_final(shards, 0);
+  // Per-shard "some vertex still live" flags; written once per shard per
+  // round, read after the pool barrier.
+  std::vector<std::uint8_t> shard_live(shards, 0);
+  std::size_t round = 0;  // round index within this call
 
-  const std::function<void(std::size_t)> sweep = [&](std::size_t s) {
+  // Compute phase: step every live vertex whose closed neighborhood changed
+  // last round (every live vertex in round 0).  Reads cur and
+  // changed[prev] anywhere; writes next, live and changed[cur] in its own
+  // words only.
+  const std::function<void(std::size_t)> compute = [&](std::size_t s) {
+    const std::vector<std::uint64_t>& prev = changed[(round & 1) ^ 1];
+    std::vector<std::uint64_t>& now = changed[round & 1];
+    const auto was_changed = [&prev](std::size_t u) {
+      return (prev[u >> 6] >> (u & 63) & 1) != 0;
+    };
     auto& nbrs = scratch[s];
-    bool fin = true;
-    for (Vertex v = bounds[s]; v < bounds[s + 1]; ++v) {
-      nbrs.clear();
-      for (const Vertex u : g.neighbors(v)) nbrs.push_back(cur.get(u));
-      // The engine delivers neighbor colors as a sorted, sender-anonymous
-      // multiset (InboxRef::multiset); reproduce it exactly.
-      std::sort(nbrs.begin(), nbrs.end());
-      const Color c = rule.step(cur.get(v), nbrs);
-      next.set(v, c);
-      fin = fin && rule.is_final(c);
+    std::uint64_t any_live = 0;
+    for (std::size_t w = first_word[s]; w < first_word[s + 1]; ++w) {
+      std::uint64_t lw = live[w];
+      std::uint64_t ch = 0;
+      for (std::uint64_t rest = lw; rest != 0; rest &= rest - 1) {
+        const std::uint64_t bit = rest & (~rest + 1);
+        const auto v = static_cast<Vertex>(w * 64 + std::countr_zero(rest));
+        const auto row = g.neighbors(v);
+        // A pure rule returns last round's answer when neither v nor any
+        // neighbor changed, and last round's answer was cur[v].
+        if (round != 0 && !was_changed(v) &&
+            std::none_of(row.begin(), row.end(), was_changed)) {
+          continue;
+        }
+        nbrs.clear();
+        for (const Vertex u : row) nbrs.push_back(cur.get(u));
+        // The engine delivers neighbor colors as a sorted, sender-anonymous
+        // multiset (InboxRef::multiset); reproduce it exactly.
+        std::sort(nbrs.begin(), nbrs.end());
+        const Color own = cur.get(v);
+        const Color c = rule.step(own, nbrs);
+        if (c != own) {
+          next.set(v, c);
+          ch |= bit;
+        }
+        if (rule.is_final(c)) lw &= ~bit;
+      }
+      live[w] = lw;
+      now[w] = ch;
+      any_live |= lw;
     }
-    shard_final[s] = fin ? 1 : 0;
+    shard_live[s] = any_live != 0 ? 1 : 0;
   };
 
-  auto all_final_now = [&] {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!rule.is_final(cur.get(v))) return false;
+  // Apply phase: copy this round's changes into cur, own words only.
+  const std::function<void(std::size_t)> apply = [&](std::size_t s) {
+    const std::vector<std::uint64_t>& now = changed[round & 1];
+    for (std::size_t w = first_word[s]; w < first_word[s + 1]; ++w) {
+      for (std::uint64_t rest = now[w]; rest != 0; rest &= rest - 1) {
+        const std::size_t v = w * 64 + std::countr_zero(rest);
+        cur.set(v, next.get(v));
+      }
     }
-    return true;
   };
 
   std::unique_ptr<exec::ThreadPool> pool;
   if (shards > 1) pool = std::make_unique<exec::ThreadPool>(shards);
-
-  bool done = all_final_now();
-  while (!done && res.rounds < max_rounds) {
+  auto run_phase = [&](const std::function<void(std::size_t)>& phase) {
     if (pool) {
-      pool->run(shards, sweep);
+      pool->run(shards, phase);
     } else {
-      sweep(0);
+      phase(0);
     }
-    std::swap(cur, next);
-    ++res.rounds;
-    done = std::all_of(shard_final.begin(), shard_final.end(),
-                       [](std::uint8_t f) { return f != 0; });
+  };
+  bool done = std::all_of(live.begin(), live.end(),
+                          [](std::uint64_t w) { return w == 0; });
+  while (!done && round < max_rounds) {
+    run_phase(compute);
+    run_phase(apply);
+    ++round;
+    done = std::all_of(shard_live.begin(), shard_live.end(),
+                       [](std::uint8_t f) { return f == 0; });
   }
+  res.rounds = round;
   res.converged = done;
 
   res.colors.resize(n);

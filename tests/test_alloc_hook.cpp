@@ -2,12 +2,13 @@
 // (the tentpole property of the CSR mailbox refactor): once the engine,
 // arena, spill lanes, scratch and ledger are warm, a round of
 // send -> validate -> deliver -> receive performs NO heap allocation for the
-// bounded models, sequential or sharded.
+// bounded models, sequential or sharded.  The same holds for warm step()
+// calls of the locally-iterative rules the flat runner drives.
 //
 // The hook is a global operator new/delete override counting every
 // allocation in the process, so this test lives in its own binary: the
-// count is only examined around engine.step() calls, where the engine (and
-// a non-allocating program) are the only actors.
+// count is only examined around engine.step() and rule step() calls, where
+// the code under test is the only actor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,9 @@
 #include <memory>
 #include <new>
 
+#include "agc/coloring/ag.hpp"
+#include "agc/coloring/linial.hpp"
+#include "agc/coloring/reduction.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/graph/generators.hpp"
@@ -41,6 +45,7 @@ namespace {
 
 using namespace agc;
 using namespace agc::runtime;
+using graph::Color;
 
 /// Broadcasts one bit (legal in every model, including BIT) and folds the
 /// received multiset — without allocating itself.
@@ -178,6 +183,42 @@ TEST(AllocHook, LocalModelSpillPathReachesSteadyState) {
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 8; ++i) engine.step();
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(AllocHook, IterativeRuleStepsAreAllocationFree) {
+  // The flat runner calls step() once per frontier vertex per round; the
+  // rules it runs must not allocate on that path.
+  const coloring::LinialSchedule sched(1ULL << 24, 7);
+  ASSERT_GE(sched.stages(), 2u);
+  const coloring::LinialRule linial(sched);
+  const coloring::AgRule ag(coloring::ag_modulus(7, 300));
+  const coloring::GreedyReduceRule greedy(8, 300);
+
+  const std::size_t r = sched.stages();
+  const Color own = sched.offset(r) + 12345;
+  // Same-interval neighbors plus one from each lower interval, sorted.
+  std::vector<Color> linial_nbrs;
+  for (std::size_t j = 0; j < r; ++j) linial_nbrs.push_back(sched.offset(j) + 3);
+  for (const Color x : {7u, 99u, 4242u}) linial_nbrs.push_back(sched.offset(r) + x);
+  const std::vector<Color> ag_nbrs = {1, 20, 45, 130, 200};
+  const std::vector<Color> greedy_nbrs = {0, 1, 2, 5, 40, 77};
+
+  struct Case {
+    const char* name;
+    const runtime::IterativeRule* rule;
+    Color own;
+    const std::vector<Color>* nbrs;
+  };
+  const Case cases[] = {{"LinialRule", &linial, own, &linial_nbrs},
+                        {"AgRule", &ag, 150, &ag_nbrs},
+                        {"GreedyReduceRule", &greedy, 250, &greedy_nbrs}};
+  for (const Case& c : cases) {
+    Color out = c.rule->step(c.own, *c.nbrs);  // warm
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 64; ++i) out ^= c.rule->step(c.own, *c.nbrs);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u) << c.name;
+    EXPECT_NE(out, ~Color{0});  // keep the calls observable
+  }
 }
 
 }  // namespace

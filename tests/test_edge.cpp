@@ -2,12 +2,19 @@
 // removal, and the distributed CONGEST / Bit-Round pipeline of Section 5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <set>
+#include <utility>
 
 #include "agc/coloring/cole_vishkin.hpp"
 #include "agc/edge/defective_edge.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/graph/generators.hpp"
+#include "agc/runtime/engine.hpp"
+#include "agc/runtime/faults.hpp"
 
 namespace {
 
@@ -86,6 +93,50 @@ TEST(EdgeColoring, BitRoundModelWorksAndBitsAreLinear) {
   EXPECT_LT(graph::max_color(res.colors), 2 * g.max_degree() - 1);
   // Lemma 5.2: O(Delta + log n) bits per edge per direction.
   EXPECT_LT(res.avg_bits_per_edge, 60.0 * (g.max_degree() + 10));
+}
+
+TEST(EdgeColoring, ChurnRebindsPortsToTheReceivingVertex) {
+  // Edge churn renumbers a vertex's ports mid-run.  The two endpoints of an
+  // edge update its color in lockstep from the words they exchange, so an
+  // edge churn never touched ends with one color at both endpoints exactly
+  // when every word reached the neighbor its port names.
+  const auto g = graph::random_regular(60, 4, 17);
+  const edge::EdgeSchedule sched(g.n(), g.max_degree(), true);
+  runtime::Engine engine(g, runtime::Transport(runtime::Model::CONGEST));
+  engine.install([&](const runtime::VertexEnv&) {
+    return std::make_unique<edge::EdgeColoringProgram>(sched, false);
+  });
+  runtime::PeriodicAdversary adv(5, {.period = 3, .last_round = 18, .edge_adds = 2,
+                                     .edge_removes = 2, .dmax = g.max_degree() + 1});
+  auto edges = [&engine] {
+    const auto list = graph::edge_list(engine.graph());
+    return std::set<std::pair<graph::Vertex, graph::Vertex>>(list.begin(), list.end());
+  };
+  std::set<std::pair<graph::Vertex, graph::Vertex>> touched;
+  for (std::size_t round = 1; round <= sched.logical_rounds() + 2 && !engine.all_halted();
+       ++round) {
+    engine.step();
+    const auto before = edges();
+    adv.inject(engine, round);
+    const auto after = edges();
+    std::set_symmetric_difference(before.begin(), before.end(), after.begin(), after.end(),
+                                  std::inserter(touched, touched.end()));
+  }
+  ASSERT_TRUE(engine.all_halted());
+  EXPECT_FALSE(touched.empty());
+
+  std::size_t untouched = 0;
+  for (const auto& [u, w] : edges()) {
+    const auto& pu = dynamic_cast<const edge::EdgeColoringProgram&>(engine.program(u));
+    const auto& pw = dynamic_cast<const edge::EdgeColoringProgram&>(engine.program(w));
+    const auto cu = pu.edge_color(w);
+    const auto cw = pw.edge_color(u);
+    ASSERT_TRUE(cu.has_value() && cw.has_value()) << u << "-" << w;
+    if (touched.count({u, w}) != 0) continue;
+    EXPECT_EQ(*cu, *cw) << u << "-" << w;
+    ++untouched;
+  }
+  EXPECT_GT(untouched, 0u);
 }
 
 TEST(EdgeColoring, PathAndCycleAndStar) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "agc/exec/executor.hpp"
@@ -64,6 +65,17 @@ TEST(MailboxArena, InlineThenSpillKeepsWordsContiguousAndOrdered) {
   const auto got = in.from_port(0);
   ASSERT_EQ(got.size(), 6u);
   EXPECT_EQ(got[5].value, 5u);
+}
+
+TEST(MailboxArena, OutboxRejectsPortPastDegree) {
+  // Ports are contiguous in the shared arena: vertex 0's port 1 would be
+  // vertex 1's port 0.  The send must fail instead of landing there.
+  ArenaHarness h(graph::path(3));
+  auto out = h.arena.outbox(0, 0);
+  EXPECT_THROW(out.send(1, {7, 8}), std::out_of_range);
+  EXPECT_TRUE(h.arena.words(h.arena.base(1)).empty());
+  out.send(0, {7, 8});
+  EXPECT_EQ(h.arena.words(h.arena.base(0)).size(), 1u);
 }
 
 TEST(MailboxArena, InterleavedSpillsOfTwoPortsStayIntact) {

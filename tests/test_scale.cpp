@@ -1,14 +1,21 @@
 // The web-graph-scale substrate (docs/SCALE.md): frozen CSR vs mutable
 // backend conformance, streamed-vs-materialized generator bit-identity,
 // bit-packed color storage, and the flat runner's color contract against the
-// engine pipeline — across thread counts.
+// engine pipeline — whole pipeline and round by round, across thread
+// counts — plus the frontier's work bound.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "agc/coloring/ag.hpp"
+#include "agc/coloring/linial.hpp"
+#include "agc/coloring/palette.hpp"
 #include "agc/coloring/pipeline.hpp"
+#include "agc/coloring/reduction.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/graph/frozen.hpp"
 #include "agc/graph/generators.hpp"
@@ -213,8 +220,140 @@ TEST(FlatRunner, MatchesEnginePipelineAcrossThreadsAndBackends) {
       EXPECT_TRUE(flat.proper);
       EXPECT_EQ(flat.colors, oracle.colors);
       EXPECT_EQ(flat.rounds, oracle.rounds);
+      EXPECT_EQ(flat.rounds_linial, oracle.rounds_linial);
+      EXPECT_EQ(flat.rounds_core, oracle.rounds_core);
+      EXPECT_EQ(flat.rounds_finish, oracle.rounds_finish);
       EXPECT_GT(flat.state_bytes, 0u);
     }
+  }
+}
+
+/// One stage of the flat pipeline, parameterized exactly as
+/// scale::color_delta_plus_one_flat does it, with the colors it starts from.
+struct FlatStage {
+  std::unique_ptr<runtime::IterativeRule> rule;
+  std::vector<Color> initial;
+  std::uint64_t palette_bound = 0;
+  std::size_t max_rounds = 0;
+};
+
+/// Plan stage `index` (0 Linial, 1 AG, 2 greedy finish) from the colors the
+/// previous stage ended with.  Linial reads its input as IDs drawn from
+/// [0, id_space).
+FlatStage plan_stage(std::size_t index, GraphView g, std::vector<Color> colors,
+                     std::uint64_t id_space = 0) {
+  const std::size_t delta = g.max_degree();
+  FlatStage st;
+  if (index == 0) {
+    const coloring::LinialSchedule sched(
+        std::max<std::uint64_t>({id_space, g.n(), 1}), delta);
+    const std::uint64_t top = sched.offset(sched.stages());
+    for (Color& c : colors) c += top;
+    st.palette_bound = sched.total_span();
+    st.max_rounds = sched.stages() + 2;
+    st.rule = std::make_unique<coloring::LinialRule>(sched);
+  } else if (index == 1) {
+    const Color k = graph::max_color(colors) + 1;
+    auto rule = std::make_unique<coloring::AgRule>(coloring::ag_modulus(delta, k));
+    st.palette_bound = std::max<std::uint64_t>(rule->q() * rule->q(), k);
+    st.max_rounds = rule->q() + 2;
+    st.rule = std::move(rule);
+  } else {
+    const Color k = graph::max_color(colors) + 1;
+    const std::uint64_t target = delta + 1;
+    st.palette_bound = std::max<std::uint64_t>(k, target);
+    st.max_rounds = k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
+    st.rule = std::make_unique<coloring::GreedyReduceRule>(target, st.palette_bound);
+  }
+  st.initial = std::move(colors);
+  return st;
+}
+
+TEST(FlatRunner, EveryRoundCapMatchesEngineForEachRule) {
+  // The frontier skips vertices whose closed neighborhood did not change;
+  // capping a run after every possible round checks that each intermediate
+  // coloring, not only the fixed point, equals the engine's.
+  for (const char* spec :
+       {"gnp:n=400,p=0.02,seed=17", "regular:n=300,d=10,seed=4",
+        "powerlaw:n=350,gamma=2.4,avgdeg=7,seed=6"}) {
+    SCOPED_TRACE(spec);
+    const FrozenGraph f = GraphSpec::parse(spec).build_frozen();
+    const GraphView g(f);
+    // IDs spread over a 2^16-times wider space, so that Linial has stages to
+    // run on these small graphs too.
+    std::vector<Color> colors = coloring::identity_coloring(g.n());
+    for (Color& c : colors) c <<= 16;
+    for (std::size_t index = 0; index < 3; ++index) {
+      SCOPED_TRACE(index);
+      const FlatStage st =
+          plan_stage(index, g, std::move(colors), std::uint64_t{g.n()} << 16);
+      const auto full = scale::run_flat(g, st.initial, *st.rule, st.palette_bound,
+                                        st.max_rounds);
+      ASSERT_TRUE(full.converged);
+      ASSERT_GT(full.rounds, 0u);
+      for (std::size_t k = 1; k <= full.rounds; ++k) {
+        SCOPED_TRACE(k);
+        runtime::IterativeOptions io;
+        io.max_rounds = k;
+        const auto engine = runtime::run_locally_iterative(g, st.initial, *st.rule, io);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          SCOPED_TRACE(threads);
+          const auto flat = scale::run_flat(g, st.initial, *st.rule, st.palette_bound,
+                                            k, scale::FlatOptions{threads});
+          EXPECT_EQ(flat.colors, engine.colors);
+          EXPECT_EQ(flat.rounds, engine.rounds);
+          EXPECT_EQ(flat.converged, engine.converged);
+        }
+      }
+      colors = full.colors;
+    }
+  }
+}
+
+/// GreedyReduceRule that counts its step() calls.
+class CountingGreedyRule final : public runtime::IterativeRule {
+ public:
+  CountingGreedyRule(std::uint64_t target, std::uint64_t palette_bound)
+      : inner_(target, palette_bound) {}
+  [[nodiscard]] Color step(Color own, std::span<const Color> nbrs) const override {
+    steps_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.step(own, nbrs);
+  }
+  [[nodiscard]] bool is_final(Color c) const override { return inner_.is_final(c); }
+  [[nodiscard]] std::uint32_t color_bits() const override { return inner_.color_bits(); }
+  [[nodiscard]] std::uint64_t steps() const { return steps_.load(); }
+
+ private:
+  coloring::GreedyReduceRule inner_;
+  mutable std::atomic<std::uint64_t> steps_{0};
+};
+
+TEST(FlatRunner, FinishStageStepsOnlyTheFrontier) {
+  // The greedy finish changes a few percent of vertices per round.  On this
+  // graph a runner that sweeps every vertex steps n * rounds of them, one
+  // that sweeps every non-final vertex about n * rounds / 6, and the
+  // frontier about n * rounds / 10.
+  const FrozenGraph f = GraphSpec::parse("gnp:n=20000,p=0.0008,seed=1").build_frozen();
+  const GraphView g(f);
+  std::vector<Color> colors = coloring::identity_coloring(g.n());
+  for (std::size_t index = 0; index < 2; ++index) {
+    const FlatStage st = plan_stage(index, g, std::move(colors));
+    colors = scale::run_flat(g, st.initial, *st.rule, st.palette_bound, st.max_rounds)
+                 .colors;
+  }
+  const FlatStage st = plan_stage(2, g, std::move(colors));
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const CountingGreedyRule counting(g.max_degree() + 1, st.palette_bound);
+    const auto res = scale::run_flat(g, st.initial, counting, st.palette_bound,
+                                     st.max_rounds, scale::FlatOptions{threads});
+    const auto plain = scale::run_flat(g, st.initial, *st.rule, st.palette_bound,
+                                       st.max_rounds, scale::FlatOptions{threads});
+    ASSERT_TRUE(res.converged);
+    EXPECT_EQ(res.colors, plain.colors);
+    ASSERT_GT(res.rounds, 2u);
+    EXPECT_LT(8 * counting.steps(), g.n() * res.rounds)
+        << counting.steps() << " steps over " << res.rounds << " rounds";
   }
 }
 

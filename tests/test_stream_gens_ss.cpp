@@ -1,10 +1,12 @@
-// Streaming (O(1)-memory) Linial equivalence, the structured generators'
-// arithmetic, ArbAgRule unit behavior, and unit tests of every branch of the
-// self-stabilizing step function.
+// Streaming (O(1)-memory) Linial step against the Polynomial-based one, the
+// structured generators' arithmetic, ArbAgRule unit behavior, and unit tests
+// of every branch of the self-stabilizing step function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "agc/arb/arbag.hpp"
-#include "agc/coloring/linial_stream.hpp"
+#include "agc/coloring/linial.hpp"
 #include "agc/coloring/pipeline.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/math/polynomial.hpp"
@@ -33,22 +35,51 @@ TEST(StreamLinial, DigitEvalMatchesPolynomial) {
   }
 }
 
+/// Linial's rule as the Polynomial-based mod_linial_step computes it: filter
+/// the same-interval neighbors into a list, materialize their polynomials.
+class MaterializedLinialRule final : public runtime::IterativeRule {
+ public:
+  explicit MaterializedLinialRule(coloring::LinialSchedule s) : sched_(std::move(s)) {}
+  [[nodiscard]] Color step(Color own, std::span<const Color> neighbors) const override {
+    const std::size_t j = sched_.interval_of(own);
+    if (j == 0) return own;
+    const std::uint64_t off = sched_.offset(j);
+    std::vector<std::uint64_t> xs;
+    for (const Color nc : neighbors) {
+      if (sched_.interval_of(nc) == j) xs.push_back(nc - off);
+    }
+    return coloring::mod_linial_step(sched_, j, own - off, xs, {});
+  }
+  [[nodiscard]] bool is_final(Color c) const override {
+    return c < sched_.interval_size(0);
+  }
+  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
+
+ private:
+  coloring::LinialSchedule sched_;
+};
+
 TEST(StreamLinial, StepMatchesMaterializedStep) {
+  // Neighbors from every interval, so the in-place interval filter of
+  // LinialRule::step is exercised along with the evaluation.
   coloring::LinialSchedule sched(1ULL << 24, 7);
+  const coloring::LinialRule rule(sched);
+  const MaterializedLinialRule materialized(sched);
   graph::Rng rng(8);
   for (std::size_t j = 1; j <= sched.stages(); ++j) {
     const std::uint64_t palette = sched.interval_size(j);
     for (int trial = 0; trial < 100; ++trial) {
-      const std::uint64_t x = rng.below(palette);
-      std::vector<std::uint64_t> xs(1 + rng.below(6));
+      const Color own = sched.offset(j) + rng.below(palette);
+      std::vector<Color> nbrs(1 + rng.below(7));
       bool clash = false;
-      for (auto& nx : xs) {
-        nx = rng.below(palette);
-        clash |= nx == x;
+      for (auto& nc : nbrs) {
+        const std::size_t i = rng.below(sched.stages() + 1);
+        nc = sched.offset(i) + rng.below(sched.interval_size(i));
+        clash |= nc == own;
       }
       if (clash) continue;
-      EXPECT_EQ(coloring::mod_linial_step_stream(sched, j, x, xs),
-                coloring::mod_linial_step(sched, j, x, xs, {}));
+      std::sort(nbrs.begin(), nbrs.end());
+      EXPECT_EQ(rule.step(own, nbrs), materialized.step(own, nbrs));
     }
   }
 }
@@ -62,10 +93,10 @@ TEST(StreamLinial, FullRunBitIdentical) {
   auto init = coloring::identity_coloring(g.n());
   for (auto& c : init) c += top;
 
-  coloring::LinialRule classic(sched);
-  coloring::StreamLinialRule stream(sched);
-  auto a = runtime::run_locally_iterative(g, init, classic);
-  auto b = runtime::run_locally_iterative(g, init, stream);
+  const coloring::LinialRule streaming(sched);
+  const MaterializedLinialRule materialized(sched);
+  auto a = runtime::run_locally_iterative(g, init, streaming);
+  auto b = runtime::run_locally_iterative(g, init, materialized);
   EXPECT_EQ(a.colors, b.colors);
   EXPECT_EQ(a.rounds, b.rounds);
 }
