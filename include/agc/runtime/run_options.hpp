@@ -68,8 +68,8 @@ struct RunOptions {
   /// Seed for randomized algorithms (coloring::luby today).  Determinism
   /// contract: any randomized entry point must derive its per-vertex
   /// randomness as a pure function of (seed, round, vertex id) — never of
-  /// thread count, executor choice, or scheduling — so a run replays
-  /// bit-identically across 1/2/8 threads and the bsp/async executors.
+  /// thread count or scheduling — so a run replays bit-identically across
+  /// 1/2/8 threads.
   /// This is the ONE seed spelling for algorithm randomness; per-call seed
   /// parameters on coloring entry points are not accepted (CI grep-gates
   /// include/agc/coloring for them).  Deterministic algorithms ignore it.

@@ -105,8 +105,9 @@ struct ServiceConfig {
   std::size_t confirm_rounds = 2;
   /// Executor / observability / round budget for the underlying engine.
   /// run.sink receives the engine's RoundEnd stream plus one StageStart /
-  /// StageEnd pair per epoch; run.collect_phase_times folds per-epoch phase
-  /// timings into stats().phases.
+  /// StageEnd pair per epoch.  run.collect_phase_times is passed on to each
+  /// epoch's resettle, which times the round phases, but the service drops
+  /// those timings: ServiceStats carries no phase breakdown.
   runtime::RunOptions run;
 };
 

@@ -5,6 +5,7 @@
 // whole executions, not just final answers, across models and graph families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "agc/runtime/faults.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
+#include "agc/selfstab/ss_mis.hpp"
 
 namespace {
 
@@ -91,32 +93,72 @@ class BitChainProgram final : public runtime::VertexProgram {
   std::vector<std::uint64_t> ram_ = {0, 0};
 };
 
-TEST(ExecDeterminism, BitModelRamAndMetrics) {
-  const auto g = graph::random_gnp(250, 0.04, 9);
-  auto make_engine = [&] {
-    runtime::Engine e(g, runtime::Transport(runtime::Model::BIT));
-    e.install([](const runtime::VertexEnv&) {
-      return std::make_unique<BitChainProgram>();
-    });
-    return e;
+// Per-step RAM and metrics, sequential vs 1/2/8 shard threads, for a 1-bit
+// Bit-Round program and the three self-stabilizing program families.  RAM is
+// compared after every step, so whole trajectories must agree, not just the
+// states they end in.  kSteps covers stabilization from scratch for every
+// selfstab input (ss_line, the slowest, is stable after 28 rounds).
+TEST(ExecDeterminism, PerStepRamAndMetrics) {
+  const auto bit_g = graph::random_gnp(250, 0.04, 9);
+  const auto col_g = graph::random_regular(200, 6, 11);
+  const selfstab::SsConfig col_cfg(col_g.n(), 10,
+                                   selfstab::PaletteMode::ExactDeltaPlusOne);
+  const auto mis_g = graph::random_gnp(120, 0.06, 5);
+  const selfstab::SsConfig mis_cfg(mis_g.n(), mis_g.max_degree(),
+                                   selfstab::PaletteMode::ODelta);
+  const auto line_g = graph::random_gnp(40, 0.15, 21);
+  const selfstab::SsLineConfig line_cfg(line_g.n(), line_g.max_degree(),
+                                        selfstab::LineTask::MaximalMatching);
+  struct Input {
+    const char* name;
+    const graph::Graph& g;
+    runtime::Model model;
+    std::size_t delta_bound;
+    runtime::ProgramFactory factory;
   };
-
-  auto seq = make_engine();
-  auto par = make_engine();
-  par.set_executor(exec::make_executor(8));
-  for (int r = 0; r < 6; ++r) {
-    seq.step();
-    par.step();
+  const Input inputs[] = {
+      {"bit_chain", bit_g, runtime::Model::BIT, 0,
+       [](const runtime::VertexEnv&) {
+         return std::make_unique<BitChainProgram>();
+       }},
+      {"ss_coloring_exact", col_g, runtime::Model::LOCAL, 10,
+       selfstab::ss_coloring_factory(col_cfg)},
+      {"ss_mis", mis_g, runtime::Model::LOCAL, mis_g.max_degree(),
+       selfstab::ss_mis_factory(mis_cfg)},
+      {"ss_line", line_g, runtime::Model::LOCAL, line_g.max_degree(),
+       selfstab::ss_line_factory(line_cfg)},
+  };
+  constexpr int kSteps = 40;
+  for (const Input& in : inputs) {
+    auto make_engine = [&](std::shared_ptr<runtime::RoundExecutor> ex) {
+      runtime::EngineOptions eo;
+      eo.delta_bound = in.delta_bound;
+      runtime::Engine e(in.g, runtime::Transport(in.model), eo);
+      e.set_executor(std::move(ex));
+      e.install(in.factory);
+      return e;
+    };
+    for (const std::size_t threads : {1, 2, 8}) {
+      auto seq = make_engine(nullptr);
+      auto par = make_engine(exec::make_executor(threads));
+      for (int r = 0; r < kSteps; ++r) {
+        seq.step();
+        par.step();
+        for (graph::Vertex v = 0; v < in.g.n(); ++v) {
+          const auto a = seq.program(v).ram();
+          const auto b = par.program(v).ram();
+          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+              << in.name << " threads=" << threads << " step " << r
+              << " v " << v;
+        }
+      }
+      expect_same_metrics(seq.metrics(), par.metrics());
+      if (in.model == runtime::Model::BIT) {
+        // The Bit-Round model really was exercised: 1 bit per edge per round.
+        EXPECT_EQ(seq.metrics().max_edge_bits, std::uint64_t{kSteps});
+      }
+    }
   }
-  for (graph::Vertex v = 0; v < g.n(); ++v) {
-    const auto a = seq.program(v).ram();
-    const auto b = par.program(v).ram();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t w = 0; w < a.size(); ++w) EXPECT_EQ(a[w], b[w]) << v;
-  }
-  expect_same_metrics(seq.metrics(), par.metrics());
-  // The Bit-Round model really was exercised: 1 bit per edge per round.
-  EXPECT_EQ(seq.metrics().max_edge_bits, 6u);
 }
 
 // Identical fault-adversary trajectories: two self-stabilizing engines, one

@@ -3,8 +3,7 @@
 //   agccli color    --graph <spec> [--algo <name>]  (names: coloring registry,
 //                   `agccli campaign ls --runners`; default ag)
 //                   [--model setlocal|local|congest] [--eps <x>] [--seed <s>]
-//                   [--threads <n>] [--executor bsp|async]
-//                   [--csv <file>] [--dot <file>]
+//                   [--threads <n>] [--csv <file>] [--dot <file>]
 //   agccli edges    --graph <spec> [--bit-round] [--no-exact] [--csv <file>]
 //   agccli mis      --graph <spec>
 //   agccli match    --graph <spec>
@@ -22,10 +21,6 @@
 // --threads N (or AGC_THREADS) runs the round engine on the exec subsystem's
 // N-thread backend (N=0: all hardware threads); results are bit-identical to
 // the sequential engine by the shard-determinism contract (docs/EXEC.md).
-// --executor bsp|async picks the barriered backend (default) or the
-// dependency-driven one; per-step driving stays bit-identical, while the
-// coloring pipeline's windowed mode may trim or add trailing rounds per
-// stage (same final colors; docs/EXEC.md).
 //
 // Observability (every command above):
 //   --jsonl FILE   stream structured run events (JSONL) to FILE; analyze with
@@ -34,7 +29,7 @@
 //   agccli gen      --graph <spec> --out <file>
 //   agccli svc      --graph <spec> [--ops <n>] [--seed <s>] [--clients <c>]
 //                   [--batch <b>] [--dmax <d>] [--max-vertices <m>] [--exact]
-//                   [--threads <n>] [--executor bsp|async] [--json] [--timing]
+//                   [--threads <n>] [--json] [--timing]
 //
 // `svc` runs the coloring service in-process against a seeded YCSB-style
 // client workload (mutations + queries batched into epochs, incremental
@@ -77,7 +72,6 @@
 #include "agc/obs/event_sink.hpp"
 #include "agc/coloring/symmetry.hpp"
 #include "agc/edge/edge_coloring.hpp"
-#include "agc/exec/async_executor.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
@@ -126,22 +120,15 @@ struct Args {
     return it == kv.end() ? dflt : it->second;
   }
 
-  /// Execution backend for --threads/AGC_THREADS (null-free: sequential when
-  /// 1) and --executor bsp|async (barriered vs dependency-driven; see
-  /// docs/EXEC.md for when async is and is not bit-identical to bsp).
+  /// Execution backend for --threads/AGC_THREADS (never null: sequential
+  /// when 1).
   std::shared_ptr<runtime::RoundExecutor> executor() const {
     const auto it = kv.find("threads");
     const std::size_t threads =
         it == kv.end() ? exec::default_threads()
                        : std::strtoull(it->second.c_str(), nullptr, 10);
-    const std::string backend = get("executor", "bsp");
-    if (backend == "async") return exec::make_async_executor(threads);
-    if (backend != "bsp") usage("unknown --executor (bsp|async)");
     return exec::make_executor(threads);
   }
-
-  /// The backend name as recorded in structured output.
-  std::string executor_name() const { return get("executor", "bsp"); }
 };
 
 /// --jsonl/--phases wiring: owns the trace stream + sink for one command and
@@ -557,13 +544,7 @@ int cmd_svc(const Args& a) {
               st.mean_adjusted(),
               static_cast<unsigned long long>(st.max_adjusted),
               static_cast<unsigned long long>(st.legality_violations));
-  if (a.has("json")) {
-    // Tag the aggregate with the executor backend so differential sweeps can
-    // tell runs apart; the stats JSON itself stays executor-agnostic.
-    std::string js = st.to_json(a.has("timing"));
-    js.insert(1, "\"executor\":\"" + a.executor_name() + "\",");
-    std::puts(js.c_str());
-  }
+  if (a.has("json")) std::puts(st.to_json(a.has("timing")).c_str());
   ob.report(service.report());
   return rep.rejected == 0 && st.legality_violations == 0 ? 0 : 1;
 }
