@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -36,8 +37,12 @@ inline std::string extract_flag(int& argc, char** argv, const std::string& flag)
 }
 
 /// Console reporter that additionally records one JsonEmitter row per run:
-/// name, iterations, per-iteration real/cpu time, and every user counter
-/// (items_per_second shows up here for benchmarks that SetItemsProcessed).
+/// name, iterations, per-iteration real/cpu time, the host's nproc, the
+/// repetition count, and every user counter (items_per_second shows up here
+/// for benchmarks that SetItemsProcessed).  Under
+/// `--benchmark_repetitions=N` (N > 1) only the median aggregate becomes a
+/// row, keyed by the plain benchmark name, so a committed baseline is a
+/// median of N runs and still diffs row for row against a single run.
 class JsonRowReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonRowReporter(JsonEmitter& json) : json_(json) {}
@@ -46,12 +51,24 @@ class JsonRowReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
+      // An aggregate's own iteration count is the number of repetitions;
+      // its row reports the iterations each repetition ran, which arrive
+      // first.
+      if (run.run_type == Run::RT_Iteration) {
+        rep_iterations_ = static_cast<std::uint64_t>(run.iterations);
+      }
+      if (run.repetitions > 1 && (run.run_type != Run::RT_Aggregate ||
+                                  run.aggregate_name != "median")) {
+        continue;
+      }
       const double iters = run.iterations > 0
                                ? static_cast<double>(run.iterations)
                                : 1.0;
       auto& row = json_.row();  // row() tags "threads" for structural keying
-      row.kv("name", run.benchmark_name())
-          .kv("iterations", static_cast<std::uint64_t>(run.iterations))
+      row.kv("name", run.run_name.str())
+          .kv("nproc", std::uint64_t{std::thread::hardware_concurrency()})
+          .kv("reps", static_cast<std::uint64_t>(run.repetitions))
+          .kv("iterations", rep_iterations_)
           .kv("real_time_per_iter_s", run.real_accumulated_time / iters)
           .kv("cpu_time_per_iter_s", run.cpu_accumulated_time / iters);
       for (const auto& [key, counter] : run.counters) {
@@ -62,6 +79,7 @@ class JsonRowReporter : public benchmark::ConsoleReporter {
 
  private:
   JsonEmitter& json_;
+  std::uint64_t rep_iterations_ = 0;
 };
 
 /// Shared main() body for google-benchmark binaries: honors AGC_THREADS via

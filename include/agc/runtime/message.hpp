@@ -19,15 +19,19 @@
 /// execution, not assertions.  LOCAL-model algorithms (e.g. the line-graph
 /// simulations of Section 4.2) may send arbitrarily many words per edge.
 ///
-/// Storage is one MailboxArena per engine, not one container per vertex: a
-/// CSR offset table maps every directed edge (a *port* of its sender) to one
-/// inline Word slot in a flat buffer, with a per-shard spill lane for the
-/// rare ports that carry more than one word per round (LOCAL-model
-/// multi-word messages).  The arena is sized from the graph's degree
-/// structure once per topology (Graph::topology_version) and *reset — not
-/// reallocated — each round*, so the steady-state round loop performs zero
-/// heap allocations for bounded models.  Programs interact with it only
-/// through the non-owning OutboxRef / InboxRef views below.
+/// Storage is one MailboxArena per engine, not one container per vertex.  A
+/// sender whose whole round is one broadcast word — every locally-iterative
+/// rule and every registry algorithm under SET-LOCAL — stores that word
+/// once, in its *broadcast slot*, and touches none of its ports: the
+/// broadcast-CONGEST cost of one message per vertex per round.  Everything
+/// else goes through ports: a CSR offset table maps every directed edge (a
+/// *port* of its sender) to one inline Word slot in a flat buffer, with a
+/// per-shard spill lane for the rare ports that carry more than one word per
+/// round (LOCAL-model multi-word messages).  The arena is sized from the
+/// graph's degree structure once per topology (Graph::topology_version) and
+/// *reset — not reallocated — each round*, so the steady-state round loop
+/// performs zero heap allocations for bounded models.  Programs interact
+/// with it only through the non-owning OutboxRef / InboxRef views below.
 
 namespace agc::runtime {
 
@@ -55,11 +59,21 @@ class InboxRef;
 /// one round.
 ///
 /// Layout:
+///   * `slot_[v]` is sender v's broadcast slot: one Word, valid while
+///     `mode_[v] == Mode::Slot`.  OutboxRef::broadcast on a sender with no
+///     prior sends this round fills it and writes no port.  A second word, a
+///     directed send, or an installed ChannelHook (RoundContext::send calls
+///     expand_slot before the hook) first copies the slot word into every
+///     port of v, after which v's words live only in ports.  Readers — the
+///     deliver phase, InboxRef, OutboxRef::at — take the sender's id from the
+///     receiver's neighbor list and read the slot when it is set.  A
+///     broadcast thus costs one 16-byte write instead of one per port, and
+///     the slot table has n entries — there is no O(m) sender map.
 ///   * `base_[v] .. base_[v+1]` are the global port indices of v, one per
 ///     directed edge (v, neighbor), in neighbor-sorted (port) order.
 ///   * Each port owns kInline Word slot(s) in `inline_`; the first word of a
-///     port — all of it, for single-word protocols like every bounded-model
-///     broadcast — lives there, with no indirection.
+///     port — all of it, for single-word protocols — lives there, with no
+///     indirection.
 ///   * A port that outgrows its inline slot relocates *wholly* into the spill
 ///     lane of the shard that owns its sender, so `words()` always returns
 ///     one contiguous span.  Runs grow geometrically and lane buffers are
@@ -71,10 +85,11 @@ class InboxRef;
 ///     binary search, no copy).
 ///
 /// Concurrency contract (matches docs/EXEC.md): during the send phase, shard
-/// s writes only the ports of its own contiguous vertex range and only lane
-/// s; after the send barrier the arena is read-only until the next round's
-/// send phase resets it.  Port *contents* are therefore independent of the
-/// shard count; only the (unobservable) lane layout varies.
+/// s writes only the slots, modes and ports of its own contiguous vertex
+/// range and only lane s; after the send barrier the arena is read-only
+/// until the next round's send phase resets it.  Port *contents* are
+/// therefore independent of the shard count; only the (unobservable) lane
+/// layout varies.
 ///
 /// Dynamic topology: the arena is rebuilt from the graph whenever
 /// Graph::topology_version() changes (adversarial add_edge / remove_edge /
@@ -104,16 +119,48 @@ class MailboxArena {
   /// Reset the spill lane of `shard` for a new round (capacity retained).
   void begin_shard(std::size_t shard) noexcept { lanes_[shard].used = 0; }
 
-  /// Reset all ports of sender `v` (called by v's shard before on_send).
+  /// Reset sender `v` for a new round (called by v's shard before on_send):
+  /// drop its broadcast slot, and clear its port headers only if v wrote
+  /// ports last round — a broadcasting or silent sender left them empty.
   void reset_ports(graph::Vertex v) noexcept {
-    for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) {
-      headers_[gp].count = 0;
-      headers_[gp].lane = kNoLane;
+    if (mode_[v] == Mode::Ports) {
+      for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) {
+        headers_[gp].count = 0;
+        headers_[gp].lane = kNoLane;
+      }
     }
+    mode_[v] = Mode::Silent;
+  }
+
+  /// Send `w` to every neighbor of `v`.  The first word of a silent sender
+  /// goes into its broadcast slot; any later one is pushed onto every port.
+  void broadcast(graph::Vertex v, std::size_t shard, Word w) {
+    if (mode_[v] == Mode::Silent) {
+      slot_[v] = w;
+      mode_[v] = Mode::Slot;
+      return;
+    }
+    expand_slot(v);
+    for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) push(gp, shard, w);
+  }
+
+  /// Switch sender `v` to per-port storage for the rest of the round: copy
+  /// its broadcast slot word (if any) into every port.  Called before any
+  /// per-port write of v — a directed send, a second broadcast word, or a
+  /// channel hook — so push / words_mutable / clear_port see v's real ports.
+  void expand_slot(graph::Vertex v) noexcept {
+    if (mode_[v] == Mode::Slot) {
+      for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) {
+        inline_[gp * kInline] = slot_[v];
+        headers_[gp].count = 1;  // reset left the port empty and inline
+      }
+    }
+    mode_[v] = Mode::Ports;
   }
 
   /// Append one word to the message at global port `gp`, spilling into
-  /// `shard`'s lane when the inline slot is full.
+  /// `shard`'s lane when the inline slot is full.  The port's sender must
+  /// already be expanded (expand_slot).
   void push(std::uint32_t gp, std::size_t shard, Word w) {
     Port& h = headers_[gp];
     if (h.lane == kNoLane) {
@@ -129,13 +176,28 @@ class MailboxArena {
     lanes_[hh.lane].buf[hh.begin + hh.count++] = w;
   }
 
-  /// The words queued at global port `gp` this round (always contiguous).
+  /// The words stored at global port `gp` this round (always contiguous).
+  /// Raw port storage: empty for a sender whose word sits in its broadcast
+  /// slot — readers that know the sender use words_from.
   [[nodiscard]] std::span<const Word> words(std::uint32_t gp) const noexcept {
     const Port& h = headers_[gp];
     if (h.count == 0) return {};
     const Word* p = h.lane == kNoLane ? &inline_[gp * kInline]
                                       : &lanes_[h.lane].buf[h.begin];
     return {p, h.count};
+  }
+
+  /// The words sender `u` queued at its global port `gp` this round: its
+  /// broadcast slot when it has one, else the port's own words.
+  [[nodiscard]] std::span<const Word> words_from(graph::Vertex u,
+                                                 std::uint32_t gp) const noexcept {
+    if (mode_[u] == Mode::Slot) return {&slot_[u], 1};
+    return words(gp);
+  }
+
+  /// Sender `u`'s broadcast slot word, or null if its words are in ports.
+  [[nodiscard]] const Word* slot(graph::Vertex u) const noexcept {
+    return mode_[u] == Mode::Slot ? &slot_[u] : nullptr;
   }
 
   // --- Channel-fault mutation (runtime::ChannelHook implementations) -------
@@ -185,7 +247,11 @@ class MailboxArena {
   }
 
   [[nodiscard]] OutboxRef outbox(graph::Vertex v, std::size_t shard) noexcept;
-  [[nodiscard]] InboxRef inbox(graph::Vertex v, std::size_t shard) noexcept;
+  /// Inbox of receiver `v`; `nbrs` is v's current sorted neighbor list (the
+  /// senders, in port order), which the view needs to find their slots.
+  [[nodiscard]] InboxRef inbox(graph::Vertex v,
+                               std::span<const graph::Vertex> nbrs,
+                               std::size_t shard) noexcept;
 
   // --- Introspection (tests, allocation accounting) ------------------------
 
@@ -225,11 +291,16 @@ class MailboxArena {
     std::vector<Word> buf;  ///< grows geometrically, never shrinks
     std::size_t used = 0;   ///< high-water mark of this round's runs
   };
+  /// Where a sender's words live this round.  Ports is sticky until the next
+  /// reset, which is what lets reset_ports skip senders that never wrote one.
+  enum class Mode : std::uint8_t { Silent, Slot, Ports };
 
   void rebuild(graph::GraphView g);
   void spill(std::uint32_t gp, std::size_t shard);  // inline slot -> lane run
   void grow(std::uint32_t gp, std::size_t shard);   // double a full run
 
+  std::vector<Word> slot_;                ///< broadcast slot, n entries
+  std::vector<Mode> mode_;                ///< per-sender storage mode, n
   std::vector<std::uint32_t> base_;       ///< n+1 CSR port offsets
   std::vector<std::uint32_t> peer_port_;  ///< reverse-port map, 2m entries
   std::vector<Port> headers_;             ///< per-port state, 2m entries
@@ -245,35 +316,44 @@ class MailboxArena {
 /// on_send callback it was created for.
 class OutboxRef {
  public:
-  OutboxRef(MailboxArena& arena, std::uint32_t base, std::uint32_t ports,
-            std::size_t shard) noexcept
-      : arena_(&arena), base_(base), ports_(ports), shard_(shard) {}
+  OutboxRef(MailboxArena& arena, graph::Vertex v, std::size_t shard) noexcept
+      : arena_(&arena),
+        v_(v),
+        base_(arena.base(v)),
+        ports_(arena.ports(v)),
+        shard_(shard) {}
 
   /// Append one word to the message for the neighbor at `port`.  Throws
   /// std::out_of_range for a port past the vertex's degree: the arena is
   /// shared, so the write would land in another vertex's slot.
   void send(std::size_t port, Word w) {
     if (port >= ports_) throw std::out_of_range("OutboxRef::send: port out of range");
+    arena_->expand_slot(v_);
     arena_->push(base_ + static_cast<std::uint32_t>(port), shard_, w);
     broadcast_only_ = false;
   }
 
   /// Send the same single word to every neighbor.  This is the only
-  /// primitive available in the SET-LOCAL model.
+  /// primitive available in the SET-LOCAL model.  The first word of the
+  /// round is stored once, in the sender's broadcast slot.
   void broadcast(Word w) {
-    for (std::uint32_t p = 0; p < ports_; ++p) arena_->push(base_ + p, shard_, w);
+    if (ports_ != 0) arena_->broadcast(v_, shard_, w);
   }
 
   [[nodiscard]] std::size_t ports() const noexcept { return ports_; }
   [[nodiscard]] std::span<const Word> at(std::size_t port) const {
-    return arena_->words(base_ + static_cast<std::uint32_t>(port));
+    return arena_->words_from(v_, base_ + static_cast<std::uint32_t>(port));
   }
+  /// The one word every port carries, if this round is a single broadcast
+  /// held in the slot; null when the words are stored per port.
+  [[nodiscard]] const Word* slot() const noexcept { return arena_->slot(v_); }
   [[nodiscard]] bool used_broadcast_only() const noexcept {
     return broadcast_only_;
   }
 
  private:
   MailboxArena* arena_;
+  graph::Vertex v_;
   std::uint32_t base_;
   std::uint32_t ports_;
   std::size_t shard_;
@@ -281,22 +361,24 @@ class OutboxRef {
 };
 
 /// Non-owning view of one vertex's incoming ports for one round: reads the
-/// senders' words in place through the arena's reverse-port map (delivery
-/// copies nothing).  Valid only inside the on_receive callback it was
-/// created for — after the adversary churns topology between rounds the
-/// arena rebuilds its port tables, so views never see stale ports.
+/// senders' words in place — a sender's broadcast slot, found through the
+/// receiver's neighbor list, or its port through the arena's reverse-port
+/// map (delivery copies nothing).  Valid only inside the on_receive callback
+/// it was created for — after the adversary churns topology between rounds
+/// the arena rebuilds its port tables, so views never see stale ports.
 class InboxRef {
  public:
   InboxRef(const MailboxArena& arena, const std::uint32_t* peer_ports,
-           std::uint32_t ports, std::vector<std::uint64_t>& scratch) noexcept
-      : arena_(&arena), peer_(peer_ports), ports_(ports), scratch_(&scratch) {}
+           std::span<const graph::Vertex> nbrs,
+           std::vector<std::uint64_t>& scratch) noexcept
+      : arena_(&arena), peer_(peer_ports), nbrs_(nbrs), scratch_(&scratch) {}
 
-  [[nodiscard]] std::size_t ports() const noexcept { return ports_; }
+  [[nodiscard]] std::size_t ports() const noexcept { return nbrs_.size(); }
 
   /// Message from the neighbor at `port` (empty if it sent nothing).
   [[nodiscard]] std::span<const Word> from_port(std::size_t port) const {
-    assert(port < ports_);
-    return arena_->words(peer_[port]);
+    assert(port < nbrs_.size());
+    return arena_->words_from(nbrs_[port], peer_[port]);
   }
 
   /// First word from `port`, or `fallback` if none arrived.
@@ -315,8 +397,8 @@ class InboxRef {
   [[nodiscard]] std::span<const std::uint64_t> multiset() const {
     auto& vals = *scratch_;
     vals.clear();
-    for (std::uint32_t p = 0; p < ports_; ++p) {
-      const auto w = arena_->words(peer_[p]);
+    for (std::size_t p = 0; p < nbrs_.size(); ++p) {
+      const auto w = arena_->words_from(nbrs_[p], peer_[p]);
       if (!w.empty()) vals.push_back(w.front().value);
     }
     std::sort(vals.begin(), vals.end());
@@ -326,18 +408,20 @@ class InboxRef {
  private:
   const MailboxArena* arena_;
   const std::uint32_t* peer_;
-  std::uint32_t ports_;
+  std::span<const graph::Vertex> nbrs_;
   std::vector<std::uint64_t>* scratch_;
 };
 
 inline OutboxRef MailboxArena::outbox(graph::Vertex v,
                                       std::size_t shard) noexcept {
-  return OutboxRef(*this, base_[v], ports(v), shard);
+  return OutboxRef(*this, v, shard);
 }
 
 inline InboxRef MailboxArena::inbox(graph::Vertex v,
+                                    std::span<const graph::Vertex> nbrs,
                                     std::size_t shard) noexcept {
-  return InboxRef(*this, peer_ports(v), ports(v), scratch_[shard]);
+  assert(nbrs.size() == ports(v));
+  return InboxRef(*this, peer_ports(v), nbrs, scratch_[shard]);
 }
 
 }  // namespace agc::runtime

@@ -44,7 +44,13 @@ struct Metrics {
 /// edge u->v lives in the bucket of v, so a parallel executor that shards
 /// delivery by receiver updates the ledger without any synchronization: a
 /// bucket is only ever touched by the one shard that owns its receiver.
-/// Buckets are degree-sized, so the linear sender scan beats a hash map.
+///
+/// Lookup is O(1) in the steady state.  Delivery walks a receiver's ports in
+/// ascending order, so a receiver whose neighbors all spoke in its first
+/// round appended them in port order: the entry for the sender at port p is
+/// `bucket[p]`, checked first.  A mismatch — a neighbor that was silent in
+/// that round, or an edge added or removed since — falls back to a linear
+/// scan of the degree-sized bucket.
 class EdgeBitLedger {
  public:
   /// Grow to cover receivers [0, n).  Never shrinks: the ledger is a
@@ -54,11 +60,15 @@ class EdgeBitLedger {
     if (by_receiver_.size() < n) by_receiver_.resize(n);
   }
 
-  /// Accumulate `bits` onto the directed edge sender->receiver and return
-  /// the new cumulative total for that edge.
+  /// Accumulate `bits` onto the directed edge sender->receiver, where the
+  /// sender is the receiver's neighbor at `port`, and return the new
+  /// cumulative total for that edge.
   std::uint64_t add(std::uint32_t sender, std::uint32_t receiver,
-                    std::uint64_t bits) {
+                    std::uint32_t port, std::uint64_t bits) {
     auto& bucket = by_receiver_[receiver];
+    if (port < bucket.size() && bucket[port].first == sender) {
+      return bucket[port].second += bits;
+    }
     for (auto& [s, acc] : bucket) {
       if (s == sender) return acc += bits;
     }

@@ -23,7 +23,8 @@
 ///   * deliver() is sharded by *receiver*: shard [b, e) walks, for each of
 ///     its receivers v in ascending order and each port p of v in ascending
 ///     order, the words its neighbor queued for v — reading them in place
-///     through the arena's reverse-port map.  Accounting per (sender,
+///     from the neighbor's broadcast slot or, through the arena's
+///     reverse-port map, from its port.  Accounting per (sender,
 ///     receiver) edge happens in exactly the order the sequential engine
 ///     uses, so delivery is bit-identical for every shard count, including 1.
 ///   * Accounting is folded per shard into a local Metrics and reduced in

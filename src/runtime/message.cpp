@@ -9,6 +9,8 @@ void MailboxArena::rebuild(graph::GraphView g) {
     base_[v + 1] = base_[v] + static_cast<std::uint32_t>(g.degree(v));
   }
   const std::size_t total = base_[n];
+  slot_.assign(n, Word{});
+  mode_.assign(n, Mode::Silent);
   headers_.assign(total, Port{});
   inline_.assign(total * kInline, Word{});
   peer_port_.resize(total);

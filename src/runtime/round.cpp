@@ -52,6 +52,8 @@ void RoundContext::send(graph::Vertex begin, graph::Vertex end,
     programs_[v]->on_send(envs_[v], out);
     transport_.validate(out);
     if (channel_ != nullptr) {
+      // Hooks attack ports one by one, so a broadcast slot becomes ports.
+      arena_.expand_slot(v);
       channel_->apply(arena_, graph_, v, round_, shard);
     }
   }
@@ -66,15 +68,17 @@ void RoundContext::deliver(graph::Vertex begin, graph::Vertex end,
     const auto nbrs = graph_.neighbors(v);
     const std::uint32_t* peers = arena_.peer_ports(v);
     for (std::size_t port = 0; port < nbrs.size(); ++port) {
-      // v's p-th inbound message sits at v's port in its neighbor's table,
-      // precomputed in the arena's reverse-port map.
-      const auto words = arena_.words(peers[port]);
+      // v's p-th inbound message is its neighbor's broadcast slot, or sits
+      // at v's port in the neighbor's table, precomputed in the arena's
+      // reverse-port map.
+      const auto words = arena_.words_from(nbrs[port], peers[port]);
       if (words.empty()) continue;
       std::uint64_t msg_bits = 0;
       for (const Word& w : words) msg_bits += w.bits;
       ++metrics.messages;
       metrics.total_bits += msg_bits;
-      const std::uint64_t acc = ledger_.add(nbrs[port], v, msg_bits);
+      const std::uint64_t acc = ledger_.add(
+          nbrs[port], v, static_cast<std::uint32_t>(port), msg_bits);
       metrics.max_edge_bits = std::max(metrics.max_edge_bits, acc);
     }
   }
@@ -90,7 +94,7 @@ void RoundContext::receive(graph::Vertex begin, graph::Vertex end,
       profile_ != nullptr ? profile_->shard(shard) : nullptr,
       obs::Phase::Receive);
   for (graph::Vertex v = begin; v < end; ++v) {
-    const InboxRef in = arena_.inbox(v, shard);
+    const InboxRef in = arena_.inbox(v, graph_.neighbors(v), shard);
     programs_[v]->on_receive(envs_[v], in);
   }
 }

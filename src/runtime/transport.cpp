@@ -29,23 +29,33 @@ void Transport::validate(const OutboxRef& out) const {
     throw std::logic_error(
         "SET-LOCAL model admits broadcast only (no per-port sends)");
   }
-  for (std::size_t p = 0; p < out.ports(); ++p) {
-    for (const Word& w : out.at(p)) {
-      if (w.bits < 64 && (w.value >> w.bits) != 0) {
-        throw std::logic_error("message value wider than its declared bit width");
-      }
+  const auto check_width = [](const Word& w) {
+    if (w.bits < 64 && (w.value >> w.bits) != 0) {
+      throw std::logic_error("message value wider than its declared bit width");
     }
-  }
+  };
   const std::uint32_t cap = width_cap();
-  if (cap == 0) return;
-  for (std::size_t p = 0; p < out.ports(); ++p) {
-    std::uint64_t total = 0;
-    for (const Word& w : out.at(p)) total += w.bits;
-    if (total > cap) {
+  const auto check_cap = [&](std::uint64_t total) {
+    if (cap != 0 && total > cap) {
       throw std::logic_error("message of " + std::to_string(total) +
                              " bits exceeds " + to_string(model_) + " cap of " +
                              std::to_string(cap) + " bits");
     }
+  };
+  // A broadcast slot is the same single word on every port: check it once.
+  if (const Word* w = out.slot()) {
+    check_width(*w);
+    check_cap(w->bits);
+    return;
+  }
+  for (std::size_t p = 0; p < out.ports(); ++p) {
+    for (const Word& w : out.at(p)) check_width(w);
+  }
+  if (cap == 0) return;
+  for (std::size_t p = 0; p < out.ports(); ++p) {
+    std::uint64_t total = 0;
+    for (const Word& w : out.at(p)) total += w.bits;
+    check_cap(total);
   }
 }
 

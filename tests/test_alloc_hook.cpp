@@ -185,6 +185,54 @@ TEST(AllocHook, LocalModelSpillPathReachesSteadyState) {
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
 }
 
+TEST(AllocHook, MixedBroadcastAndDirectedRoundsStayAllocationFree) {
+  // Half the vertices broadcast into their slot while the other half send
+  // per port, and every vertex switches between the two from round to
+  // round, sometimes broadcasting then sending (slot expansion).  This
+  // drives the lazy port reset over every transition: slot -> ports,
+  // ports -> slot, and slot -> expanded -> slot.
+  class SwitchingProgram final : public VertexProgram {
+   public:
+    void on_send(const VertexEnv& env, OutboxRef& out) override {
+      switch ((env.id + env.round) % 3) {
+        case 0:
+          out.broadcast({acc_ & 0xf, 4});
+          break;
+        case 1:
+          for (std::size_t p = 0; p < out.ports(); p += 2) {
+            out.send(p, {acc_ & 0xf, 4});
+          }
+          break;
+        default:
+          out.broadcast({acc_ & 0x3, 2});
+          if (out.ports() != 0) out.send(0, {1, 1});
+          break;
+      }
+    }
+    void on_receive(const VertexEnv&, const InboxRef& in) override {
+      for (std::size_t p = 0; p < in.ports(); ++p) acc_ += in.value_or(p, 3);
+      for (const std::uint64_t v : in.multiset()) acc_ ^= v;
+    }
+
+   private:
+    std::uint64_t acc_ = 1;
+  };
+
+  const auto g = graph::random_regular(256, 8, 5);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    Engine engine(g, Transport(Model::CONGEST, 8));
+    engine.set_executor(exec::make_executor(threads));
+    engine.install(
+        [](const VertexEnv&) { return std::make_unique<SwitchingProgram>(); });
+    for (int i = 0; i < 3; ++i) engine.step();
+
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 9; ++i) engine.step();
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+        << "threads=" << threads;
+  }
+}
+
 TEST(AllocHook, IterativeRuleStepsAreAllocationFree) {
   // The flat runner calls step() once per frontier vertex per round; the
   // rules it runs must not allocate on that path.

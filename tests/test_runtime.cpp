@@ -3,8 +3,10 @@
 // harness.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
+#include "agc/exec/executor.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
@@ -33,7 +35,9 @@ struct ArenaHarness {
     for (graph::Vertex v = 0; v < g.n(); ++v) arena.reset_ports(v);
   }
   [[nodiscard]] OutboxRef outbox(graph::Vertex v) { return arena.outbox(v, 0); }
-  [[nodiscard]] InboxRef inbox(graph::Vertex v) { return arena.inbox(v, 0); }
+  [[nodiscard]] InboxRef inbox(graph::Vertex v) {
+    return arena.inbox(v, g.neighbors(v), 0);
+  }
 
   graph::Graph g;
   MailboxArena arena;
@@ -245,6 +249,118 @@ TEST(IterativeHarness, MaxRoundsCap) {
   auto res = run_locally_iterative(g, {0, 1, 0}, rule, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.rounds, 10u);
+}
+
+// --- Per-edge bit ledger ----------------------------------------------------
+
+TEST(EdgeBitLedgerTest, PortHintFallsBackToScanOnMismatch) {
+  EdgeBitLedger ledger;
+  ledger.ensure(1);
+  // Receiver 0's neighbors are {3, 5}; 3 (port 0) is silent at first, so 5
+  // (port 1) lands in bucket entry 0 and every later lookup mismatches.
+  EXPECT_EQ(ledger.add(5, 0, 1, 4), 4u);
+  EXPECT_EQ(ledger.add(3, 0, 0, 2), 2u);
+  EXPECT_EQ(ledger.add(5, 0, 1, 4), 8u);
+  EXPECT_EQ(ledger.add(3, 0, 0, 2), 4u);
+  // A port past the bucket (a neighbor added later) also scans, then appends.
+  EXPECT_EQ(ledger.add(9, 0, 7, 1), 1u);
+  EXPECT_EQ(ledger.get(5, 0), 8u);
+  EXPECT_EQ(ledger.get(3, 0), 4u);
+  EXPECT_EQ(ledger.get(9, 0), 1u);
+  EXPECT_EQ(ledger.get(0, 5), 0u);
+}
+
+/// Bits `v` puts on the port to its neighbor at `port` in `round` (0 =
+/// nothing): silent in round 0, then a per-vertex cycle of silence, a
+/// broadcast, directed sends on every other port, and a broadcast followed
+/// by a directed send.
+std::uint64_t scripted_bits(graph::Vertex v, std::uint64_t round,
+                            std::size_t port) {
+  if (round == 0) return 0;
+  switch ((v + round) % 4) {
+    case 1: return 8;
+    case 2: return (port + round) % 2 == 0 ? 5 : 0;
+    case 3: return port == 0 ? 1 + 3 : 1;
+    default: return 0;
+  }
+}
+
+class ScriptedSender final : public VertexProgram {
+ public:
+  void on_send(const VertexEnv& env, OutboxRef& out) override {
+    switch ((env.id + env.round) % 4) {
+      case 1:
+        if (env.round != 0) out.broadcast({env.id % 256, 8});
+        break;
+      case 2:
+        if (env.round == 0) break;
+        for (std::size_t p = 0; p < out.ports(); ++p) {
+          if ((p + env.round) % 2 == 0) out.send(p, {env.id % 32, 5});
+        }
+        break;
+      case 3:
+        if (env.round == 0 || out.ports() == 0) break;
+        out.broadcast({env.round % 2, 1});
+        out.send(0, {6, 3});
+        break;
+      default:
+        break;
+    }
+  }
+  void on_receive(const VertexEnv&, const InboxRef&) override {}
+};
+
+TEST(EdgeBitLedgerTest, MetricsEqualPerEdgeOracleUnderChurn) {
+  // Senders silent in round 0 and silent again every fourth round, with
+  // edges added and removed between rounds, so receivers' buckets are out of
+  // port order and the ledger's fallback path runs.  messages, total_bits
+  // and max_edge_bits must equal a (sender, receiver) -> bits map replayed
+  // from the script over the topology of each round.
+  for (const Model model : {Model::LOCAL, Model::CONGEST}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      Engine engine(graph::random_regular(40, 6, 3), Transport(model, 8));
+      engine.set_executor(exec::make_executor(threads));
+      engine.install(
+          [](const VertexEnv&) { return std::make_unique<ScriptedSender>(); });
+      std::map<std::pair<graph::Vertex, graph::Vertex>, std::uint64_t> oracle;
+      std::uint64_t messages = 0;
+      std::uint64_t total_bits = 0;
+      graph::Rng rng(17);
+      for (std::uint64_t round = 0; round < 24; ++round) {
+        const auto g = engine.graph();
+        for (graph::Vertex u = 0; u < g.n(); ++u) {
+          const auto nbrs = g.neighbors(u);
+          for (std::size_t p = 0; p < nbrs.size(); ++p) {
+            const std::uint64_t bits = scripted_bits(u, round, p);
+            if (bits == 0) continue;
+            ++messages;
+            total_bits += bits;
+            oracle[{u, nbrs[p]}] += bits;
+          }
+        }
+        engine.step();
+
+        const auto n = static_cast<graph::Vertex>(engine.graph().n());
+        const auto a = static_cast<graph::Vertex>(rng.below(n));
+        const auto b = static_cast<graph::Vertex>(rng.below(n));
+        if (round % 2 == 0) {
+          engine.add_edge(a, b);
+        } else if (engine.graph().degree(a) != 0) {
+          engine.remove_edge(a, engine.graph().neighbors(a)[0]);
+        }
+      }
+      std::uint64_t max_edge_bits = 0;
+      for (const auto& [edge, bits] : oracle) {
+        max_edge_bits = std::max(max_edge_bits, bits);
+      }
+      const Metrics& m = engine.metrics();
+      SCOPED_TRACE(to_string(model) + " threads=" + std::to_string(threads));
+      EXPECT_EQ(m.messages, messages);
+      EXPECT_EQ(m.total_bits, total_bits);
+      EXPECT_EQ(m.max_edge_bits, max_edge_bits);
+    }
+  }
 }
 
 }  // namespace
