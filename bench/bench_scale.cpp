@@ -6,7 +6,10 @@
 // (Delta+1) pipeline on the flat runner.  Rows report build and coloring
 // throughput plus the two memory figures the substrate is designed around:
 // CSR bytes per vertex and peak working-state bytes per vertex.  One row per
-// (n, thread count); its coloring time is the median of kReps runs.
+// (n, thread count); its coloring time is the median of kReps runs.  Exits 1
+// if any run is not a converged proper coloring, or if a repetition or
+// thread count yields colors or rounds different from the first run on that
+// graph.
 //
 //   --threads LIST  comma-separated flat-runner thread counts, e.g. 1,2,4
 //                   (0 = hardware).  n = 10^7 runs only at the largest.
@@ -108,6 +111,11 @@ int main(int argc, char** argv) {
     const graph::FrozenGraph f = spec.build_frozen();
     const double build_s = build_clock.seconds();
 
+    // Every repetition at every thread count must reproduce the first run's
+    // colors and rounds on this graph (the flat runner's determinism
+    // contract).
+    std::vector<graph::Color> first_colors;
+    std::size_t first_rounds = 0;
     for (const std::size_t threads : args.threads) {
       if (n > 1'000'000 && threads != args.threads.back()) continue;
       scale::FlatOptions fo;
@@ -121,6 +129,16 @@ int main(int argc, char** argv) {
         if (!res.proper || !res.converged) {
           std::fprintf(stderr, "bench_scale: %s did not converge to a proper coloring\n",
                        spec_str.c_str());
+          return 1;
+        }
+        if (first_colors.empty()) {
+          first_colors = res.colors;
+          first_rounds = res.rounds;
+        } else if (res.colors != first_colors || res.rounds != first_rounds) {
+          std::fprintf(stderr,
+                       "bench_scale: %s at %zu threads (repetition %zu) diverged "
+                       "from the first run's colors or rounds\n",
+                       spec_str.c_str(), threads, rep);
           return 1;
         }
       }

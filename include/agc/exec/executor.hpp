@@ -38,20 +38,10 @@ class ParallelExecutor final : public runtime::RoundExecutor {
 
   void round(runtime::RoundContext& ctx, runtime::Metrics& total) override;
 
-  /// The degree-aware shard boundaries the current round uses (bounds_[s]
-  /// .. bounds_[s+1] is shard s's vertex range).  Exposed for tests.
-  [[nodiscard]] const std::vector<graph::Vertex>& bounds() const noexcept {
-    return bounds_;
-  }
-
  private:
-  /// Recompute degree-balanced shard boundaries when the topology changed.
-  /// Shards stay contiguous (the arena's lane contract), but cuts fall on
-  /// cumulative-degree quantiles instead of vertex-count quantiles, so a
-  /// skewed degree distribution no longer piles all edge work onto a few
-  /// shards.  Any contiguous partition yields bit-identical results (the
-  /// shard-determinism contract), so rebalancing is purely a wall-clock
-  /// optimization.
+  /// Recompute the shard boundaries (degree_weighted_bounds, alignment 1)
+  /// when the topology changed.  Shards must stay contiguous: the mailbox
+  /// arena's spill lanes are per contiguous shard.
   void refresh_bounds(const runtime::RoundContext& ctx);
 
   ThreadPool pool_;
@@ -75,6 +65,19 @@ class ParallelExecutor final : public runtime::RoundExecutor {
   return {static_cast<graph::Vertex>(n * s / shards),
           static_cast<graph::Vertex>(n * (s + 1) / shards)};
 }
+
+/// Degree-weighted contiguous shard boundaries: `shards` + 1 cut points over
+/// [0, n), bounds[s] .. bounds[s+1] being shard s's vertex range.  Vertex v
+/// weighs degree(v) + 1 — edge work dominates a round, and the +1 keeps long
+/// runs of isolated vertices from collapsing into one shard — and cut s is the
+/// first vertex boundary where the running weight reaches the s-th quantile,
+/// rounded up to a multiple of `align` (or to n).  Any contiguous partition
+/// yields bit-identical results in both runners, so the weighting only
+/// balances wall clock; the alignment lets shards own whole words of packed
+/// per-vertex storage (the flat runner uses 64).
+[[nodiscard]] std::vector<graph::Vertex> degree_weighted_bounds(graph::GraphView g,
+                                                                std::size_t shards,
+                                                                std::size_t align);
 
 /// Backend factory: 0 means "hardware concurrency"; 1 yields the sequential
 /// backend; anything larger a ParallelExecutor with that many threads.

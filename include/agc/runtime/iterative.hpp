@@ -76,11 +76,4 @@ struct IterativeResult : RunReport {
                                                     const IterativeRule& rule,
                                                     const IterativeOptions& opts = {});
 
-/// Convenience: run a sequence of rules back to back (a staged pipeline, as
-/// in Corollary 3.6), feeding each stage's final coloring to the next.
-/// Metrics and round counts accumulate into the returned result.
-[[nodiscard]] IterativeResult run_stages(
-    graph::GraphView g, std::vector<Color> initial,
-    std::span<const IterativeRule* const> stages, const IterativeOptions& opts = {});
-
 }  // namespace agc::runtime

@@ -38,8 +38,8 @@ struct RunReport {
   [[nodiscard]] obs::Telemetry telemetry() const;
 
   /// Stage accumulation: counters add, metrics merge (max_edge_bits is a
-  /// max), phase stats merge, convergence ANDs.  Used by run_stages and the
-  /// pipelines.
+  /// max), phase stats merge, convergence ANDs.  Used by the pipelines to fold
+  /// their stages.
   void absorb(const RunReport& stage);
 };
 

@@ -25,11 +25,14 @@
 ///
 /// Determinism: a round depends only on the previous round's colors and
 /// change bits, so any shard partition gives identical results; shards are
-/// word-aligned (multiples of 64 vertices) so packed and bitmap writes never
-/// share a word.  Color contract, pinned by tests: color_delta_plus_one_flat()
-/// returns the same colors and per-stage rounds as
-/// coloring::color_delta_plus_one() for every graph and thread count, and
-/// run_flat() matches run_locally_iterative() at every round cap.
+/// the executor's degree-weighted cuts rounded to multiples of 64 vertices
+/// (exec::degree_weighted_bounds), so packed and bitmap writes never share a
+/// word.  The pipeline is not restated here: color_delta_plus_one_flat()
+/// runs the stage plans of coloring/stage_plan.hpp, the same ones the
+/// engine's color_delta_plus_one() runs.  Color contract, pinned by tests:
+/// the two return the same colors and per-stage rounds for every graph and
+/// thread count, and run_flat() matches run_locally_iterative() at every
+/// round cap.
 
 namespace agc::scale {
 
@@ -65,9 +68,9 @@ struct FlatResult {
                                   std::size_t max_rounds,
                                   const FlatOptions& opts = {});
 
-/// The full (Delta+1)-coloring pipeline — Linial, AG, greedy finish — with
-/// the exact stage parameterization of coloring::color_delta_plus_one, on
-/// the flat runner.
+/// The full (Delta+1)-coloring pipeline — Linial, AG, greedy finish — on
+/// the flat runner: each stage planned by coloring::plan_delta_plus_one_stage
+/// and run through run_flat.
 [[nodiscard]] FlatResult color_delta_plus_one_flat(graph::GraphView g,
                                                    const FlatOptions& opts = {});
 

@@ -39,13 +39,6 @@ class PackedColors {
     // unconditionally, keeping the hot path branch-free of bounds checks.
   }
 
-  /// Smallest width that can hold `max_value` (>= 1 even for 0).
-  [[nodiscard]] static std::uint32_t width_for(std::uint64_t max_value) noexcept {
-    std::uint32_t bits = 1;
-    while (bits < 64 && (max_value >> bits) != 0) ++bits;
-    return bits;
-  }
-
   [[nodiscard]] std::uint64_t get(std::size_t i) const noexcept {
     const std::uint64_t bit = static_cast<std::uint64_t>(i) * bits_;
     const std::size_t w = static_cast<std::size_t>(bit >> 6);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "agc/coloring/stage_plan.hpp"
 #include "agc/math/iterated_log.hpp"
 #include "agc/math/primes.hpp"
 
@@ -39,17 +41,22 @@ std::uint32_t AgRule::color_bits() const {
   return runtime::width_of(code_.q * code_.q - 1);
 }
 
+StagePlan plan_ag(std::vector<Color> colors, std::size_t delta) {
+  const Color k = graph::max_color(colors) + 1;
+  auto rule = std::make_unique<AgRule>(ag_modulus(delta, k));
+  StagePlan plan;
+  plan.max_rounds = rule->q() + 2;
+  plan.palette_bound = std::max<std::uint64_t>(rule->q() * rule->q(), k);
+  plan.rule = std::move(rule);
+  plan.initial = std::move(colors);
+  return plan;
+}
+
 runtime::IterativeResult additive_group_color(graph::GraphView g,
                                               std::vector<Color> initial,
                                               std::size_t delta,
                                               const runtime::IterativeOptions& opts) {
-  const Color k = graph::max_color(initial) + 1;
-  const AgRule rule(ag_modulus(delta, k));
-  runtime::IterativeOptions capped = opts;
-  // Corollary 3.5: q rounds always suffice; +2 slack for the empty-graph and
-  // already-final corner cases.
-  capped.max_rounds = std::min<std::size_t>(opts.max_rounds, rule.q() + 2);
-  return run_locally_iterative(g, std::move(initial), rule, capped);
+  return run_plan(g, plan_ag(std::move(initial), delta), opts);
 }
 
 }  // namespace agc::coloring

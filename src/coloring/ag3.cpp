@@ -294,14 +294,12 @@ runtime::IterativeResult exact_delta_plus_one(graph::GraphView g,
   runtime::IterativeOptions capped = opts;
   capped.max_rounds = std::min(opts.max_rounds, rule.round_bound());
   auto result = run_locally_iterative(g, std::move(initial), rule, capped);
-  if (needs_pre) {
-    result.rounds += pre.rounds;
-    result.proper_each_round = result.proper_each_round && pre.proper_each_round;
-    result.metrics.rounds += pre.metrics.rounds;
-    result.metrics.messages += pre.metrics.messages;
-    result.metrics.total_bits += pre.metrics.total_bits;
-  }
-  return result;
+  if (!needs_pre) return result;
+  // One result for both passes: everything the pre-pass measured counts.
+  pre.absorb(result);
+  pre.colors = std::move(result.colors);
+  pre.proper_each_round = pre.proper_each_round && result.proper_each_round;
+  return pre;
 }
 
 }  // namespace agc::coloring

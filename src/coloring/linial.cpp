@@ -4,8 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
+#include "agc/coloring/stage_plan.hpp"
 #include "agc/math/primes.hpp"
 
 namespace agc::coloring {
@@ -188,27 +190,29 @@ std::uint32_t LinialRule::color_bits() const {
   return runtime::width_of(sched_.total_span() - 1);
 }
 
+StagePlan plan_linial(std::vector<Color> ids, std::uint64_t id_space,
+                      std::size_t delta) {
+  StagePlan plan;
+  LinialSchedule sched(id_space, delta);
+  if (sched.stages() > 0) {
+    const std::uint64_t top = sched.offset(sched.stages());
+    for (Color& c : ids) {
+      assert(c < id_space);
+      c += top;
+    }
+    plan.max_rounds = sched.stages() + 2;
+    plan.palette_bound = sched.total_span();
+    plan.rule = std::make_unique<LinialRule>(std::move(sched));
+  }
+  plan.initial = std::move(ids);
+  return plan;
+}
+
 runtime::IterativeResult linial_color(graph::GraphView g,
                                       std::vector<Color> initial_ids,
                                       std::uint64_t id_space, std::size_t delta,
                                       const runtime::IterativeOptions& opts) {
-  LinialSchedule sched(id_space, delta);
-  if (sched.stages() == 0) {
-    // Already at or below the fixed point: nothing to do.
-    runtime::IterativeResult r;
-    r.colors = std::move(initial_ids);
-    r.converged = true;
-    return r;
-  }
-  const std::uint64_t top = sched.offset(sched.stages());
-  for (Color& c : initial_ids) {
-    assert(c < id_space);
-    c += top;
-  }
-  LinialRule rule(sched);
-  runtime::IterativeOptions capped = opts;
-  capped.max_rounds = std::min(opts.max_rounds, sched.stages() + 2);
-  return run_locally_iterative(g, std::move(initial_ids), rule, capped);
+  return run_plan(g, plan_linial(std::move(initial_ids), id_space, delta), opts);
 }
 
 }  // namespace agc::coloring

@@ -1,7 +1,10 @@
 #include "agc/coloring/reduction.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
+
+#include "agc/coloring/stage_plan.hpp"
 
 namespace agc::coloring {
 
@@ -26,16 +29,21 @@ Color GreedyReduceRule::step(Color own, std::span<const Color> neighbors) const 
   return candidate;  // <= Delta < target since at most Delta neighbors
 }
 
+StagePlan plan_reduce(std::vector<Color> colors, std::uint64_t target) {
+  const Color k = graph::max_color(colors) + 1;
+  StagePlan plan;
+  plan.max_rounds = k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
+  plan.palette_bound = std::max<std::uint64_t>(k, target);
+  plan.rule = std::make_unique<GreedyReduceRule>(target, plan.palette_bound);
+  plan.initial = std::move(colors);
+  return plan;
+}
+
 runtime::IterativeResult reduce_colors(graph::GraphView g,
                                        std::vector<Color> initial,
                                        std::uint64_t target,
                                        const runtime::IterativeOptions& opts) {
-  const Color k = graph::max_color(initial) + 1;
-  GreedyReduceRule rule(target, std::max<std::uint64_t>(k, target));
-  runtime::IterativeOptions capped = opts;
-  const std::size_t bound = k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
-  capped.max_rounds = std::min(opts.max_rounds, bound);
-  return run_locally_iterative(g, std::move(initial), rule, capped);
+  return run_plan(g, plan_reduce(std::move(initial), target), opts);
 }
 
 }  // namespace agc::coloring

@@ -29,22 +29,8 @@ void ParallelExecutor::refresh_bounds(const runtime::RoundContext& ctx) {
       bounds_.size() == shards + 1) {
     return;  // steady state: O(1) per round, like the mailbox arena
   }
-  const std::size_t n = g.n();
-  bounds_.assign(shards + 1, static_cast<graph::Vertex>(n));
-  bounds_[0] = 0;
-  // Weight each vertex by degree + 1: edge work dominates send/deliver, the
-  // +1 keeps huge runs of isolated vertices from collapsing into one shard.
-  const std::uint64_t total = 2 * static_cast<std::uint64_t>(g.m()) + n;
-  std::uint64_t acc = 0;
-  std::size_t s = 1;
-  for (graph::Vertex v = 0; v < n && s < shards; ++v) {
-    acc += g.degree(v) + 1;
-    // Cut after v once the running weight crosses the s-th quantile.
-    while (s < shards && acc * shards >= total * s) {
-      bounds_[s++] = v + 1;
-    }
-  }
-  bounds_n_ = n;
+  bounds_ = degree_weighted_bounds(g, shards, 1);
+  bounds_n_ = g.n();
   bounds_version_ = g.topology_version();
   bounds_built_ = true;
 }
@@ -90,6 +76,26 @@ void ParallelExecutor::round(runtime::RoundContext& ctx,
   fork_join(receive_task_, obs::Phase::Receive);
   profile->extra()->add(obs::Phase::Barrier, idle_ns);
   ctx_ = nullptr;
+}
+
+std::vector<graph::Vertex> degree_weighted_bounds(graph::GraphView g,
+                                                  std::size_t shards,
+                                                  std::size_t align) {
+  const std::size_t n = g.n();
+  std::vector<graph::Vertex> bounds(shards + 1, static_cast<graph::Vertex>(n));
+  bounds[0] = 0;
+  const std::uint64_t total = 2 * static_cast<std::uint64_t>(g.m()) + n;
+  std::uint64_t acc = 0;
+  std::size_t s = 1;
+  for (graph::Vertex v = 0; v < n && s < shards; ++v) {
+    acc += g.degree(v) + 1;
+    // Cut after v once the running weight crosses the s-th quantile.
+    while (s < shards && acc * shards >= total * s) {
+      const std::uint64_t cut = (std::uint64_t{v} + align) / align * align;
+      bounds[s++] = static_cast<graph::Vertex>(std::min<std::uint64_t>(cut, n));
+    }
+  }
+  return bounds;
 }
 
 std::shared_ptr<runtime::RoundExecutor> make_executor(std::size_t threads) {

@@ -7,46 +7,16 @@
 #include <thread>
 #include <utility>
 
-#include "agc/coloring/ag.hpp"
-#include "agc/coloring/linial.hpp"
 #include "agc/coloring/palette.hpp"
-#include "agc/coloring/reduction.hpp"
+#include "agc/coloring/stage_plan.hpp"
+#include "agc/exec/executor.hpp"
 #include "agc/exec/thread_pool.hpp"
 #include "agc/scale/packed.hpp"
 
 namespace agc::scale {
 
-namespace {
-
 using graph::Color;
 using graph::Vertex;
-
-/// Degree-weighted contiguous shard bounds, with every cut rounded up to a
-/// multiple of 64 vertices — 64 entries span whole words at every packed
-/// width, so shards never write the same word (PackedColors contract).
-/// Same weighting as ParallelExecutor::refresh_bounds; any contiguous
-/// partition is result-identical, the weighting only balances wall clock.
-std::vector<Vertex> shard_bounds(graph::GraphView g, std::size_t shards) {
-  const std::size_t n = g.n();
-  std::vector<Vertex> bounds(shards + 1, static_cast<Vertex>(n));
-  bounds[0] = 0;
-  const std::uint64_t total = 2 * static_cast<std::uint64_t>(g.m()) + n;
-  std::uint64_t acc = 0;
-  std::size_t s = 1;
-  for (Vertex v = 0; v < n && s < shards; ++v) {
-    acc += g.degree(v) + 1;
-    while (s < shards && acc * shards >= total * s) {
-      const std::uint64_t cut = (std::uint64_t{v} + 1 + 63) & ~std::uint64_t{63};
-      bounds[s++] = static_cast<Vertex>(std::min<std::uint64_t>(cut, n));
-    }
-  }
-  for (std::size_t i = 1; i <= shards; ++i) {
-    bounds[i] = std::max(bounds[i], bounds[i - 1]);
-  }
-  return bounds;
-}
-
-}  // namespace
 
 FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
                     const runtime::IterativeRule& rule,
@@ -65,7 +35,7 @@ FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
   // round writes next[v] only for vertices that change, and the apply phase
   // copies exactly those entries back.
   const std::uint32_t width =
-      PackedColors::width_for(palette_bound == 0 ? 0 : palette_bound - 1);
+      runtime::width_of(palette_bound == 0 ? 0 : palette_bound - 1);
   PackedColors cur(n, width);
   for (std::size_t v = 0; v < n; ++v) cur.set(v, initial[v]);
   PackedColors next = cur;
@@ -83,8 +53,9 @@ FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
                     3 * words * sizeof(std::uint64_t);
 
   // Shard s owns bitmap words [first_word[s], first_word[s+1]); shard cuts
-  // are multiples of 64 vertices (or n), so the word ranges are disjoint.
-  const auto bounds = shard_bounds(g, shards);
+  // are multiples of 64 vertices (or n) — 64 entries span whole words at
+  // every packed width — so shards never write the same word.
+  const auto bounds = exec::degree_weighted_bounds(g, shards, 64);
   std::vector<std::size_t> first_word(shards + 1);
   for (std::size_t s = 0; s <= shards; ++s) first_word[s] = (bounds[s] + 63) / 64;
 
@@ -179,60 +150,26 @@ FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
 
 FlatResult color_delta_plus_one_flat(graph::GraphView g,
                                      const FlatOptions& opts) {
-  const std::size_t n = g.n();
-  const std::size_t delta = g.max_degree();
   FlatResult total;
   total.converged = true;
-
-  auto fold = [&total](const FlatResult& stage) {
-    total.rounds += stage.rounds;
-    total.converged = total.converged && stage.converged;
-    total.state_bytes = std::max(total.state_bytes, stage.state_bytes);
-  };
-
-  // Stage 1: Linial — identical parameterization to the engine pipeline's
-  // run_linial (id_space_factor 1) and coloring::linial_color's lift + cap.
-  std::vector<Color> colors = coloring::identity_coloring(n);
-  const std::uint64_t id_space = std::max<std::uint64_t>(n, 1);
-  const coloring::LinialSchedule sched(id_space, delta);
-  if (sched.stages() > 0) {
-    const std::uint64_t top = sched.offset(sched.stages());
-    for (Color& c : colors) c += top;
-    const coloring::LinialRule rule(sched);
-    FlatResult lin = run_flat(g, std::move(colors), rule, sched.total_span(),
-                              sched.stages() + 2, opts);
-    colors = std::move(lin.colors);
-    total.rounds_linial = lin.rounds;
-    fold(lin);
+  std::size_t* const split[coloring::kDeltaPlusOneStages] = {
+      &total.rounds_linial, &total.rounds_core, &total.rounds_finish};
+  std::vector<Color> colors = coloring::identity_coloring(g.n());
+  for (std::size_t i = 0; i < coloring::kDeltaPlusOneStages; ++i) {
+    coloring::StagePlan plan =
+        coloring::plan_delta_plus_one_stage(i, g, std::move(colors));
+    if (plan.rule == nullptr) {
+      colors = std::move(plan.initial);
+      continue;
+    }
+    FlatResult r = run_flat(g, std::move(plan.initial), *plan.rule,
+                            plan.palette_bound, plan.max_rounds, opts);
+    colors = std::move(r.colors);
+    *split[i] = r.rounds;
+    total.rounds += r.rounds;
+    total.converged = total.converged && r.converged;
+    total.state_bytes = std::max(total.state_bytes, r.state_bytes);
   }
-
-  // Stage 2: AG — modulus sized to the Linial palette, <= q + 2 rounds.
-  {
-    const Color k = graph::max_color(colors) + 1;
-    const coloring::AgRule rule(coloring::ag_modulus(delta, k));
-    const std::uint64_t span = std::max<std::uint64_t>(rule.q() * rule.q(), k);
-    FlatResult ag =
-        run_flat(g, std::move(colors), rule, span, rule.q() + 2, opts);
-    colors = std::move(ag.colors);
-    total.rounds_core = ag.rounds;
-    fold(ag);
-  }
-
-  // Stage 3: greedy finish down to Delta + 1 colors.
-  {
-    const Color k = graph::max_color(colors) + 1;
-    const std::uint64_t target = delta + 1;
-    const coloring::GreedyReduceRule rule(target,
-                                          std::max<std::uint64_t>(k, target));
-    const std::size_t cap =
-        k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
-    FlatResult red = run_flat(g, std::move(colors), rule,
-                              std::max<std::uint64_t>(k, target), cap, opts);
-    colors = std::move(red.colors);
-    total.rounds_finish = red.rounds;
-    fold(red);
-  }
-
   total.colors = std::move(colors);
   total.palette = graph::palette_size(total.colors);
   total.proper = graph::is_proper_coloring(g, total.colors);

@@ -14,7 +14,9 @@
 #include "agc/coloring/pipeline.hpp"
 #include "agc/coloring/reduction.hpp"
 #include "agc/graph/generators.hpp"
+#include "agc/graph/spec.hpp"
 #include "agc/math/primes.hpp"
+#include "agc/obs/phase_timer.hpp"
 
 namespace {
 
@@ -196,6 +198,22 @@ TEST_P(ExactOnGraphs, MixedRuleReachesDeltaPlusOne) {
   EXPECT_TRUE(rep.proper);
   EXPECT_TRUE(rep.proper_each_round);
   EXPECT_LE(graph::max_color(rep.colors), std::max<std::size_t>(g.max_degree(), 1));
+}
+
+TEST(Exact, WidePalettePrePassFoldsIntoTheResult) {
+  // From the identity coloring the palette (2000) exceeds p^2 = 19^2, so a
+  // plain AG pass runs first; its rounds, phase samples and metrics belong
+  // to the one result the call returns.
+  const auto g = graph::GraphSpec::parse("regular:n=2000,d=10,seed=1").build();
+  runtime::IterativeOptions io;
+  io.collect_phase_times = true;
+  const auto res = coloring::exact_delta_plus_one(
+      g, coloring::identity_coloring(g.n()), g.max_degree(), io);
+  EXPECT_TRUE(res.converged);
+  EXPECT_TRUE(res.proper_each_round);
+  EXPECT_EQ(res.phases.phase_calls(obs::Phase::Send), res.rounds);
+  EXPECT_EQ(res.metrics.rounds, res.rounds);
+  EXPECT_LE(graph::max_color(res.colors), g.max_degree());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,14 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "agc/coloring/pipeline.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/exec/thread_pool.hpp"
+#include "agc/graph/frozen.hpp"
 #include "agc/graph/generators.hpp"
+#include "agc/graph/spec.hpp"
+#include "agc/graph/view.hpp"
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
@@ -309,6 +314,41 @@ TEST(Executors, FactorySemantics) {
   EXPECT_EQ(exec::default_threads(), 5u);
   unsetenv("AGC_THREADS");
   EXPECT_EQ(exec::default_threads(), 1u);
+}
+
+// The one shard weighting both runners use: the executor cuts at alignment 1,
+// the flat runner at 64.  Any contiguous partition is result-identical, so
+// this pins only the balance and shape of the cuts.
+TEST(Executors, DegreeWeightedBounds) {
+  for (const char* spec : {"powerlaw:n=5000,gamma=2.2,avgdeg=8,seed=3",
+                           "powerlaw:n=150,gamma=2.5,avgdeg=4,seed=1"}) {
+    const graph::FrozenGraph f = graph::GraphSpec::parse(spec).build_frozen();
+    const graph::GraphView g(f);
+    const std::size_t n = g.n();
+    std::vector<std::uint64_t> prefix(n + 1, 0);  // weight of [0, v)
+    for (graph::Vertex v = 0; v < n; ++v) prefix[v + 1] = prefix[v] + g.degree(v) + 1;
+    const std::uint64_t total = prefix[n];
+    for (const std::size_t align : {1u, 64u}) {
+      for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(std::string(spec) + " align=" + std::to_string(align) +
+                     " shards=" + std::to_string(shards));
+        const auto b = exec::degree_weighted_bounds(g, shards, align);
+        ASSERT_EQ(b.size(), shards + 1);
+        EXPECT_EQ(b.front(), 0u);
+        EXPECT_EQ(b.back(), n);
+        for (std::size_t s = 0; s < shards; ++s) {
+          ASSERT_LE(b[s], b[s + 1]);
+          EXPECT_TRUE(b[s + 1] % align == 0 || b[s + 1] == n) << b[s + 1];
+          // At most the shard's quantile of the weight, plus one 64-vertex
+          // block: the one ending at its upper cut.
+          const std::size_t hi = b[s + 1];
+          const std::uint64_t block = prefix[hi] - prefix[hi - std::min<std::size_t>(hi, 64)];
+          EXPECT_LE((prefix[hi] - prefix[b[s]]) * shards, total + block * shards)
+              << "shard " << s;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,19 +8,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "agc/coloring/ag.hpp"
-#include "agc/coloring/linial.hpp"
 #include "agc/coloring/palette.hpp"
 #include "agc/coloring/pipeline.hpp"
-#include "agc/coloring/reduction.hpp"
+#include "agc/coloring/stage_plan.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/graph/frozen.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/graph/view.hpp"
+#include "agc/runtime/message.hpp"
 #include "agc/runtime/trace.hpp"
 #include "agc/scale/flat.hpp"
 #include "agc/scale/packed.hpp"
@@ -165,13 +163,14 @@ TEST(ResolvedGraph, PowerlawSpecRoundTrips) {
 
 // --- PackedColors -----------------------------------------------------------
 
-TEST(PackedColors, WidthForCoversBoundaries) {
-  EXPECT_EQ(scale::PackedColors::width_for(0), 1u);
-  EXPECT_EQ(scale::PackedColors::width_for(1), 1u);
-  EXPECT_EQ(scale::PackedColors::width_for(2), 2u);
-  EXPECT_EQ(scale::PackedColors::width_for(255), 8u);
-  EXPECT_EQ(scale::PackedColors::width_for(256), 9u);
-  EXPECT_EQ(scale::PackedColors::width_for(~std::uint64_t{0}), 64u);
+TEST(PackedColors, WidthOfCoversBoundaries) {
+  // run_flat sizes its buffers with runtime::width_of(palette_bound - 1).
+  EXPECT_EQ(runtime::width_of(0), 1u);
+  EXPECT_EQ(runtime::width_of(1), 1u);
+  EXPECT_EQ(runtime::width_of(2), 2u);
+  EXPECT_EQ(runtime::width_of(255), 8u);
+  EXPECT_EQ(runtime::width_of(256), 9u);
+  EXPECT_EQ(runtime::width_of(~std::uint64_t{0}), 64u);
 }
 
 TEST(PackedColors, RoundTripsAcrossWordStraddles) {
@@ -228,47 +227,6 @@ TEST(FlatRunner, MatchesEnginePipelineAcrossThreadsAndBackends) {
   }
 }
 
-/// One stage of the flat pipeline, parameterized exactly as
-/// scale::color_delta_plus_one_flat does it, with the colors it starts from.
-struct FlatStage {
-  std::unique_ptr<runtime::IterativeRule> rule;
-  std::vector<Color> initial;
-  std::uint64_t palette_bound = 0;
-  std::size_t max_rounds = 0;
-};
-
-/// Plan stage `index` (0 Linial, 1 AG, 2 greedy finish) from the colors the
-/// previous stage ended with.  Linial reads its input as IDs drawn from
-/// [0, id_space).
-FlatStage plan_stage(std::size_t index, GraphView g, std::vector<Color> colors,
-                     std::uint64_t id_space = 0) {
-  const std::size_t delta = g.max_degree();
-  FlatStage st;
-  if (index == 0) {
-    const coloring::LinialSchedule sched(
-        std::max<std::uint64_t>({id_space, g.n(), 1}), delta);
-    const std::uint64_t top = sched.offset(sched.stages());
-    for (Color& c : colors) c += top;
-    st.palette_bound = sched.total_span();
-    st.max_rounds = sched.stages() + 2;
-    st.rule = std::make_unique<coloring::LinialRule>(sched);
-  } else if (index == 1) {
-    const Color k = graph::max_color(colors) + 1;
-    auto rule = std::make_unique<coloring::AgRule>(coloring::ag_modulus(delta, k));
-    st.palette_bound = std::max<std::uint64_t>(rule->q() * rule->q(), k);
-    st.max_rounds = rule->q() + 2;
-    st.rule = std::move(rule);
-  } else {
-    const Color k = graph::max_color(colors) + 1;
-    const std::uint64_t target = delta + 1;
-    st.palette_bound = std::max<std::uint64_t>(k, target);
-    st.max_rounds = k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
-    st.rule = std::make_unique<coloring::GreedyReduceRule>(target, st.palette_bound);
-  }
-  st.initial = std::move(colors);
-  return st;
-}
-
 TEST(FlatRunner, EveryRoundCapMatchesEngineForEachRule) {
   // The frontier skips vertices whose closed neighborhood did not change;
   // capping a run after every possible round checks that each intermediate
@@ -285,8 +243,8 @@ TEST(FlatRunner, EveryRoundCapMatchesEngineForEachRule) {
     for (Color& c : colors) c <<= 16;
     for (std::size_t index = 0; index < 3; ++index) {
       SCOPED_TRACE(index);
-      const FlatStage st =
-          plan_stage(index, g, std::move(colors), std::uint64_t{g.n()} << 16);
+      const coloring::StagePlan st = coloring::plan_delta_plus_one_stage(
+          index, g, std::move(colors), std::uint64_t{1} << 16);
       const auto full = scale::run_flat(g, st.initial, *st.rule, st.palette_bound,
                                         st.max_rounds);
       ASSERT_TRUE(full.converged);
@@ -310,11 +268,10 @@ TEST(FlatRunner, EveryRoundCapMatchesEngineForEachRule) {
   }
 }
 
-/// GreedyReduceRule that counts its step() calls.
-class CountingGreedyRule final : public runtime::IterativeRule {
+/// A rule that counts its step() calls and otherwise defers to `inner`.
+class CountingRule final : public runtime::IterativeRule {
  public:
-  CountingGreedyRule(std::uint64_t target, std::uint64_t palette_bound)
-      : inner_(target, palette_bound) {}
+  explicit CountingRule(const runtime::IterativeRule& inner) : inner_(inner) {}
   [[nodiscard]] Color step(Color own, std::span<const Color> nbrs) const override {
     steps_.fetch_add(1, std::memory_order_relaxed);
     return inner_.step(own, nbrs);
@@ -324,7 +281,7 @@ class CountingGreedyRule final : public runtime::IterativeRule {
   [[nodiscard]] std::uint64_t steps() const { return steps_.load(); }
 
  private:
-  coloring::GreedyReduceRule inner_;
+  const runtime::IterativeRule& inner_;
   mutable std::atomic<std::uint64_t> steps_{0};
 };
 
@@ -337,14 +294,15 @@ TEST(FlatRunner, FinishStageStepsOnlyTheFrontier) {
   const GraphView g(f);
   std::vector<Color> colors = coloring::identity_coloring(g.n());
   for (std::size_t index = 0; index < 2; ++index) {
-    const FlatStage st = plan_stage(index, g, std::move(colors));
+    const coloring::StagePlan st =
+        coloring::plan_delta_plus_one_stage(index, g, std::move(colors));
     colors = scale::run_flat(g, st.initial, *st.rule, st.palette_bound, st.max_rounds)
                  .colors;
   }
-  const FlatStage st = plan_stage(2, g, std::move(colors));
+  const coloring::StagePlan st = coloring::plan_delta_plus_one_stage(2, g, std::move(colors));
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    const CountingGreedyRule counting(g.max_degree() + 1, st.palette_bound);
+    const CountingRule counting(*st.rule);
     const auto res = scale::run_flat(g, st.initial, counting, st.palette_bound,
                                      st.max_rounds, scale::FlatOptions{threads});
     const auto plain = scale::run_flat(g, st.initial, *st.rule, st.palette_bound,
